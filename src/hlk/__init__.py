@@ -37,6 +37,7 @@ from .invariant import (
     LkInvariant,
     handlebody_linking,
     quotient_group,
+    quotient_groups,
     reconstruct_lk,
 )
 from .selftest import run_selftest
@@ -70,6 +71,7 @@ __all__ = [
     "LkInvariant",
     "handlebody_linking",
     "quotient_group",
+    "quotient_groups",
     "reconstruct_lk",
     "run_selftest",
     "__version__",

@@ -18,13 +18,12 @@ from .diagram import (
     parse_diagram,
 )
 from .exactla import (
-    IntMatrix,
     MatrixParseError,
     format_matrix,
     parse_matrix,
     smith_normal_form,
 )
-from .invariant import handlebody_linking, quotient_group
+from .invariant import handlebody_linking, quotient_groups
 from .selftest import run_selftest
 
 __all__ = [
@@ -124,10 +123,6 @@ def detect_format(text: str) -> str | None:
     return None
 
 
-def _print_matrix(m: IntMatrix, out) -> None:
-    out.write(format_matrix(m))
-
-
 def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     """Execute one invocation; returns the exit code.
 
@@ -184,19 +179,17 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     if config.subcommand == "invariant":
         print(f"Lk = {handlebody_linking(m)}", file=out)
     elif config.subcommand == "matrix":
-        _print_matrix(m, out)
+        out.write(format_matrix(m))
     elif config.subcommand == "groups":
-        first = quotient_group(m, "first")
-        second = quotient_group(m, "second")
-        chain_length = m.rows - first.free_rank
+        first, second = quotient_groups(m)
         print(f"A1 = {first}", file=out)
         print(f"A2 = {second}", file=out)
-        print(f"l = {chain_length}", file=out)
+        print(f"l = {m.rows - first.free_rank}", file=out)
     elif config.subcommand == "snf":
-        result = smith_normal_form(m)
-        for label, part in (("D", result.d), ("U", result.u), ("V", result.v)):
-            print(f"# {label}", file=out)
-            _print_matrix(part, out)
+        # Format all three blocks before writing, so a failure leaves stdout empty.
+        r = smith_normal_form(m)
+        blocks = (("D", r.d), ("U", r.u), ("V", r.v))
+        out.write("".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks))
     else:
         print(f"hlk: error: unknown subcommand {config.subcommand!r}", file=err)
         return EXIT_USAGE

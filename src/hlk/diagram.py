@@ -151,6 +151,24 @@ def parse_diagram(text: str) -> Diagram:
     return Diagram((component_names[0], component_names[1]), tuple(loops), tuple(crossings))
 
 
+def _pair_sums(d: Diagram) -> dict[tuple[str, str], int]:
+    """Signed crossing sum per ``(over, under)`` loop pair, in one pass over the crossings."""
+    sums: dict[tuple[str, str], int] = {}
+    for c in d.crossings:
+        key = (c.over, c.under)
+        sums[key] = sums.get(key, 0) + c.sign
+    return sums
+
+
+def _linking(sums: dict, a: str, b: str, entry: tuple[int, int] | None = None) -> int:
+    """Half the crossing sum of ``a`` and ``b``, either on top; ``entry`` prefixes an odd-sum error."""
+    total = sums.get((a, b), 0) + sums.get((b, a), 0)
+    if total % 2:
+        where = f"entry {entry}: " if entry else ""
+        raise InvalidDiagramError(f"{where}odd crossing sign sum {total} between {a!r} and {b!r}")
+    return total // 2
+
+
 def linking_number(d: Diagram, a: str, b: str) -> int:
     """Linking number of loops ``a`` and ``b``: half the signed crossing sum.
 
@@ -163,31 +181,18 @@ def linking_number(d: Diagram, a: str, b: str) -> int:
     la, lb = d.loop(a), d.loop(b)
     if la.component == lb.component:
         raise InvalidDiagramError(f"loops {a!r} and {b!r} lie in the same component")
-    pair = {a, b}
-    total = 0
-    for c in d.crossings:
-        if {c.over, c.under} == pair:
-            total += c.sign
-    if total % 2:
-        raise InvalidDiagramError(
-            f"odd crossing sign sum {total} between {a!r} and {b!r}"
-        )
-    return total // 2
+    return _linking(_pair_sums(d), a, b)
 
 
 def linking_matrix(d: Diagram) -> IntMatrix:
     """Matrix of linking numbers, rows = first component's loops, cols = second's."""
     first = d.component_loops(0)
     second = d.component_loops(1)
-    rows = []
-    for i, e in enumerate(first):
-        row = []
-        for j, f in enumerate(second):
-            try:
-                row.append(linking_number(d, e.name, f.name))
-            except InvalidDiagramError as exc:
-                raise InvalidDiagramError(f"entry ({i}, {j}): {exc}") from exc
-        rows.append(row)
+    sums = _pair_sums(d)
+    rows = [
+        [_linking(sums, e.name, f.name, (i, j)) for j, f in enumerate(second)]
+        for i, e in enumerate(first)
+    ]
     return IntMatrix.from_rows(rows, cols=len(second))
 
 

@@ -6,6 +6,7 @@ exceed machine words.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal
@@ -540,8 +541,21 @@ def apply_slide(
 
 
 # ---------------------------------------------------------------------------
-# Matrix file format: header line `matrix <m> <n>`, then m rows of n signed
-# decimal integers.  `#` comment lines and blank lines are ignored.
+# Matrix file format: header `matrix <m> <n>`, then m rows of n integers, each an
+# ASCII token `[+-]?[0-9]+`, space separated.  `#` comments and blanks are ignored.
+
+_INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
+
+
+def _integers(tokens: list[str], lineno: int, what: str) -> list[int]:
+    if not _INTEGERS.fullmatch(" ".join(tokens)):
+        raise MatrixParseError(f"{what} must be signed decimal integers", line=lineno)
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        # The grammar held, so int() refused the length (over 4,300 digits by default).
+        raise MatrixParseError(f"{what} exceed the integer digit limit", line=lineno) from None
+
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse the textual matrix format; raises MatrixParseError with a line number."""
@@ -557,10 +571,7 @@ def parse_matrix(text: str) -> IntMatrix:
     header_line, header = significant[0]
     if header[0] != "matrix" or len(header) != 3:
         raise MatrixParseError("expected header 'matrix <m> <n>'", line=header_line)
-    try:
-        m, n = int(header[1]), int(header[2])
-    except ValueError:
-        raise MatrixParseError("matrix dimensions must be integers", line=header_line) from None
+    m, n = _integers(header[1:], header_line, "matrix dimensions")
     if m < 0 or n < 0:
         raise MatrixParseError("matrix dimensions must be non-negative", line=header_line)
 
@@ -577,10 +588,7 @@ def parse_matrix(text: str) -> IntMatrix:
     for lineno, tokens in body:
         if len(tokens) != n:
             raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
-        try:
-            rows.append([int(t) for t in tokens])
-        except ValueError:
-            raise MatrixParseError("entries must be signed decimal integers", line=lineno) from None
+        rows.append(_integers(tokens, lineno, "entries"))
     return IntMatrix.from_rows(rows, cols=n)
 
 

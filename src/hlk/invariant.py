@@ -4,7 +4,7 @@ The linking invariant is the multiset of elementary divisors of the
 linking matrix (the zero marker when the matrix has rank zero).  The two
 quotient groups are the first homology of one component's complement
 modulo the cycles of the other component; the linking matrix and its
-transpose are their presentation matrices.
+transpose present them, and the two share one divisor chain.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ __all__ = [
     "AbelianGroup",
     "handlebody_linking",
     "quotient_group",
+    "quotient_groups",
     "reconstruct_lk",
 ]
 
@@ -93,6 +94,18 @@ def handlebody_linking(m: IntMatrix) -> LkInvariant:
     return LkInvariant(tuple(elementary_divisors(m)))
 
 
+def quotient_groups(m: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
+    """Both quotient groups ``(A1, A2)``, read from one divisor chain of ``m``.
+
+    ``m`` and its transpose share that chain; with ``l`` its length, A1 is
+    ``Z^(rows - l)`` and A2 ``Z^(cols - l)``, each with the divisors > 1 as torsion.
+    """
+    divisors = elementary_divisors(m)
+    torsion = tuple(d for d in divisors if d > 1)
+    l = len(divisors)
+    return AbelianGroup(m.rows - l, torsion), AbelianGroup(m.cols - l, torsion)
+
+
 def quotient_group(m: IntMatrix, side: Literal["first", "second"]) -> AbelianGroup:
     """Complement homology of one component modulo the other's cycles.
 
@@ -102,19 +115,9 @@ def quotient_group(m: IntMatrix, side: Literal["first", "second"]) -> AbelianGro
     giving free rank ``cols - l``.  Both share the torsion coefficients:
     the elementary divisors greater than 1.
     """
-    if side == "first":
-        presentation = m
-        generators = m.rows
-    elif side == "second":
-        presentation = m.transpose()
-        generators = m.cols
-    else:
+    if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    divisors = elementary_divisors(presentation)
-    return AbelianGroup(
-        free_rank=generators - len(divisors),
-        torsion=tuple(d for d in divisors if d > 1),
-    )
+    return quotient_groups(m)[side == "second"]
 
 
 def reconstruct_lk(g: AbelianGroup, l: int) -> LkInvariant:

@@ -21,7 +21,7 @@ from .exactla import (
     random_unimodular,
     smith_normal_form,
 )
-from .invariant import handlebody_linking, quotient_group, reconstruct_lk
+from .invariant import AbelianGroup, LkInvariant, quotient_groups, reconstruct_lk
 
 __all__ = ["random_matrix", "random_slide", "snf_defects", "trial_defects", "run_selftest"]
 
@@ -92,7 +92,8 @@ def trial_defects(m: IntMatrix, rng: SplitMix64) -> list[str]:
     if elementary_divisors(u @ m @ v) != base:
         defects.append("divisors changed under unimodular multiplication")
 
-    if elementary_divisors(m.transpose()) != base:
+    transposed = elementary_divisors(m.transpose())
+    if transposed != base:
         defects.append("divisors changed under transposition")
 
     slid = random_slide(m, rng)
@@ -110,13 +111,10 @@ def trial_defects(m: IntMatrix, rng: SplitMix64) -> list[str]:
             if profile[k] != 0:
                 defects.append(f"minor-gcd oracle nonzero beyond rank at k={k + 1}")
 
-    a1 = quotient_group(m, "first")
-    a2 = quotient_group(m, "second")
-    if a1.torsion != a2.torsion:
-        defects.append("the two quotient groups have different torsion")
-    if a1.free_rank - a2.free_rank != m.rows - m.cols:
-        defects.append("free-rank difference is not rows - cols")
-    if reconstruct_lk(a1, len(base)) != handlebody_linking(m):
+    a1, a2 = quotient_groups(m)
+    if a2 != AbelianGroup(m.cols - len(transposed), tuple(d for d in transposed if d > 1)):
+        defects.append("second quotient group differs from the one the transpose presents")
+    if reconstruct_lk(a1, len(base)) != LkInvariant(tuple(base)):
         defects.append("invariant not recovered from the quotient group")
 
     return defects

@@ -14,7 +14,7 @@ from hlk.cli import (
     main,
     run,
 )
-from hlk.exactla import parse_matrix
+from hlk.exactla import format_matrix, parse_matrix
 
 WORKED_TEXT = "matrix 3 4\n-1 -1 0 2\n1 -3 -2 0\n0 0 2 -2\n"
 
@@ -142,6 +142,22 @@ class TestSnfCommand:
         assert main(["snf", str(fixtures_dir / "hopf.hlk")]) == EXIT_OK
         assert "# D\nmatrix 1 1\n1\n" in capsys.readouterr().out
 
+    def test_failed_formatting_writes_nothing(self, monkeypatch):
+        calls = []
+
+        def format_or_fail(m):
+            calls.append(m)
+            if len(calls) == 3:
+                raise ValueError("Exceeds the limit for integer string conversion")
+            return format_matrix(m)
+
+        monkeypatch.setattr(cli, "format_matrix", format_or_fail)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="integer string conversion"):
+            run(CliConfig("snf"), stdin=io.StringIO(WORKED_TEXT), out=out, err=io.StringIO())
+        assert len(calls) == 3
+        assert out.getvalue() == ""
+
 
 class TestSelftestCommand:
     def test_passes(self, capsys):
@@ -198,6 +214,22 @@ class TestExitCodes:
         code, _, err = run_config(CliConfig("invariant"), "matrix 2 2\n1 2\n")
         assert code == EXIT_PARSE
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "matrix 1 1\n\u0663\n",
+            "matrix 1 1\n\uff13\n",
+            "matrix 1 2\n1_0 4\n",
+            "matrix \u0661 1\n3\n",
+            "matrix 1 \uff11\n3\n",
+            "matrix 1_0 2\n",
+        ],
+    )
+    def test_non_ascii_integers_are_parse_errors(self, text):
+        code, out, err = run_config(CliConfig("invariant"), text)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "line " in err
 
     def test_diagram_parse_error(self):
         code, _, err = run_config(CliConfig("invariant"), "component h1\nloop a\n")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hlk.diagram import (
@@ -11,13 +13,40 @@ from hlk.diagram import (
     merge_loops,
     parse_diagram,
 )
-from hlk.exactla import IntMatrix
+from hlk.exactla import IntMatrix, SplitMix64
 
 MINIMAL = "component h1\nloop a\ncomponent h2\nloop b\ncrossing a b +\ncrossing b a +"
 
 
 def two_loops(crossings: str) -> Diagram:
     return parse_diagram(f"component h1\nloop a\ncomponent h2\nloop b\n{crossings}")
+
+
+def random_diagram(rng: SplitMix64) -> Diagram:
+    """Up to 4 loops a side, declared interleaved, with crossing pairs in both
+    over/under orders (self and same-component pairs included) and, now and
+    then, a lone crossing that makes some pair's sum odd."""
+    loops = [Loop(f"e{i}", 0) for i in range(1 + rng.below(4))]
+    loops += [Loop(f"f{j}", 1) for j in range(1 + rng.below(4))]
+    for k in range(len(loops) - 1, 0, -1):
+        swap = rng.below(k + 1)
+        loops[k], loops[swap] = loops[swap], loops[k]
+    crossings = []
+
+    def pick():
+        return loops[rng.below(len(loops))].name
+
+    for _ in range(rng.below(30)):
+        a, b = pick(), pick()
+        sign = 1 if rng.below(2) else -1
+        crossings.append(Crossing(a, b, sign))
+        crossings.append(Crossing(b, a, sign) if rng.below(2) else Crossing(a, b, -sign))
+    for _ in range(rng.below(3)):
+        crossings.append(Crossing(pick(), pick(), 1 if rng.below(2) else -1))
+    for k in range(len(crossings) - 1, 0, -1):
+        swap = rng.below(k + 1)
+        crossings[k], crossings[swap] = crossings[swap], crossings[k]
+    return Diagram(("h1", "h2"), tuple(loops), tuple(crossings))
 
 
 # --- parsing ---------------------------------------------------------------
@@ -159,6 +188,49 @@ class TestLinkingMatrix:
         text = "component h1\nloop a\nloop c\ncomponent h2\nloop b\ncrossing c b +\n"
         with pytest.raises(InvalidDiagramError, match=r"entry \(1, 0\)"):
             linking_matrix(parse_diagram(text))
+
+    def test_agrees_with_pairwise_linking_numbers(self):
+        odd_seen = 0
+        for seed in range(300):
+            d = random_diagram(SplitMix64(seed))
+            table, first_odd = [], None
+            for i, e in enumerate(d.component_loops(0)):
+                row = []
+                for j, f in enumerate(d.component_loops(1)):
+                    try:
+                        row.append(linking_number(d, e.name, f.name))
+                        assert linking_number(d, f.name, e.name) == row[-1]
+                    except InvalidDiagramError as exc:
+                        if first_odd is None:
+                            first_odd = f"entry ({i}, {j}): {exc}"
+                        row.append(None)
+                table.append(row)
+            if first_odd is None:
+                assert linking_matrix(d).to_rows() == table, seed
+            else:
+                odd_seen += 1
+                with pytest.raises(InvalidDiagramError) as info:
+                    linking_matrix(d)
+                assert str(info.value) == first_odd, seed
+        assert 50 < odd_seen < 250
+
+    def test_genus_fifty_with_many_crossings_is_fast(self):
+        rng = SplitMix64(50)
+        first = [f"e{i}" for i in range(50)]
+        second = [f"f{j}" for j in range(50)]
+        expected = [[0] * 50 for _ in range(50)]
+        crossings = []
+        for _ in range(10_000):
+            i, j = rng.below(50), rng.below(50)
+            sign = 1 if rng.below(2) else -1
+            expected[i][j] += sign
+            crossings += [Crossing(first[i], second[j], sign), Crossing(second[j], first[i], sign)]
+        loops = tuple(Loop(n, 0) for n in first) + tuple(Loop(n, 1) for n in second)
+        d = Diagram(("h1", "h2"), loops, tuple(crossings))
+        start = time.perf_counter()
+        m = linking_matrix(d)
+        assert time.perf_counter() - start < 2.0
+        assert m.to_rows() == expected
 
 
 # --- loop merging ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from hlk.exactla import (
     random_unimodular,
     smith_normal_form,
 )
+
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @st.composite
@@ -367,6 +370,30 @@ class TestMatrixFormat:
             with pytest.raises(MatrixParseError) as info:
                 parse_matrix(text)
             assert info.value.line == line, text
+
+    def test_only_ascii_integer_tokens(self):
+        cases = [
+            ("matrix 1 1\n\u0663\n", 2),  # Arabic-Indic three
+            ("matrix 1 2\n1 \uff14\n", 2),  # full-width four
+            ("matrix 1 2\n1_0 4\n", 2),
+            ("matrix 2 1\n5\n+-1\n", 3),
+            ("matrix \u0661 1\n3\n", 1),
+            ("matrix 1 \uff11\n3\n", 1),
+            ("# comment\nmatrix 1_0 2\n", 2),
+        ]
+        for text, line in cases:
+            with pytest.raises(MatrixParseError) as info:
+                parse_matrix(text)
+            assert info.value.line == line, text
+
+    def test_signs_and_repeated_spaces_accepted(self):
+        assert parse_matrix("matrix +1 2\n+3   -04\n").to_rows() == [[3, -4]]
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit here")
+    def test_over_long_entry_is_named(self):
+        with pytest.raises(MatrixParseError, match="digit limit") as info:
+            parse_matrix("matrix 1 2\n1 " + "9" * (INT_DIGIT_LIMIT + 1) + "\n")
+        assert info.value.line == 2
 
     def test_parse_error_is_value_error(self):
         with pytest.raises(ValueError):

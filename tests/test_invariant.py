@@ -1,11 +1,13 @@
 import pytest
 
-from hlk.exactla import IntMatrix, SplitMix64, rank
+from hlk import invariant
+from hlk.exactla import IntMatrix, SplitMix64, elementary_divisors, rank
 from hlk.invariant import (
     AbelianGroup,
     LkInvariant,
     handlebody_linking,
     quotient_group,
+    quotient_groups,
     reconstruct_lk,
 )
 
@@ -91,16 +93,31 @@ class TestQuotientGroup:
         with pytest.raises(ValueError, match="side"):
             quotient_group(worked_matrix, "third")
 
-    def test_torsion_shared_and_ranks_differ_by_shape(self):
+    def test_second_side_matches_transpose_presentation(self):
         rng = SplitMix64(17)
         for _ in range(200):
             m = 1 + rng.below(5)
             n = 1 + rng.below(5)
             mat = IntMatrix(m, n, tuple(rng.below(11) - 5 for _ in range(m * n)))
-            a1 = quotient_group(mat, "first")
-            a2 = quotient_group(mat, "second")
-            assert a1.torsion == a2.torsion
-            assert a1.free_rank - a2.free_rank == m - n
+            chain = elementary_divisors(mat.transpose())
+            presented = AbelianGroup(n - len(chain), tuple(d for d in chain if d > 1))
+            assert quotient_group(mat, "second") == presented
+            assert quotient_groups(mat) == (
+                quotient_group(mat, "first"),
+                quotient_group(mat, "second"),
+            )
+
+    def test_both_groups_from_one_reduction(self, worked_matrix, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return elementary_divisors(m)
+
+        monkeypatch.setattr(invariant, "elementary_divisors", counting)
+        a1, a2 = quotient_groups(worked_matrix)
+        assert calls == [worked_matrix]
+        assert (str(a1), str(a2)) == ("Z^0 (+) Z/2 (+) Z/4", "Z^1 (+) Z/2 (+) Z/4")
 
 
 class TestReconstructLk:

@@ -2,7 +2,9 @@ import io
 
 import pytest
 
+from hlk import selftest
 from hlk.exactla import IntMatrix, SNFResult, SplitMix64, elementary_divisors, smith_normal_form
+from hlk.invariant import AbelianGroup, quotient_groups
 from hlk.selftest import random_matrix, random_slide, run_selftest, snf_defects, trial_defects
 
 
@@ -65,6 +67,17 @@ class TestTrialDefects:
         for _ in range(150):
             m = random_matrix(rng, 5, 5, 9)
             assert trial_defects(m, rng) == []
+
+    def test_detects_wrong_quotient_groups(self, worked_matrix, monkeypatch):
+        a1, a2 = quotient_groups(worked_matrix)
+        monkeypatch.setattr(selftest, "quotient_groups", lambda m: (a1, AbelianGroup(0, (2, 4))))
+        assert trial_defects(worked_matrix, SplitMix64(1)) == [
+            "second quotient group differs from the one the transpose presents"
+        ]
+        monkeypatch.setattr(selftest, "quotient_groups", lambda m: (AbelianGroup(0, (4,)), a2))
+        assert trial_defects(worked_matrix, SplitMix64(1)) == [
+            "invariant not recovered from the quotient group"
+        ]
 
 
 class TestRunSelftest:
