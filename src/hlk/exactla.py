@@ -152,44 +152,61 @@ class SNFResult:
 
 
 # ---------------------------------------------------------------------------
-# Elementary row/column operations on a list-of-lists working copy.  Each
-# helper applies the same operation to every matrix in `mats` so the
-# transform accumulators stay in sync with the working matrix.
+# Elementary row/column operations on list-of-lists working copies.  Row
+# helpers apply the operation to every matrix in `rows`, column helpers to
+# every matrix in `cols`.  Both lists start with the working matrix; any
+# further members are transform accumulators kept in sync with it.
 
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _swap_rows(mats, i, j):
-    for m in mats:
+def _swap_rows(rows, i, j):
+    for m in rows:
         m[i], m[j] = m[j], m[i]
 
 
-def _add_row(mats, src, dst, k):
-    for m in mats:
+def _add_row(rows, src, dst, k):
+    for m in rows:
         ms, md = m[src], m[dst]
         for idx, x in enumerate(ms):
             if x:
                 md[idx] += k * x
 
 
-def _negate_row(mats, i):
-    for m in mats:
+def _negate_row(rows, i):
+    for m in rows:
         m[i] = [-x for x in m[i]]
 
 
-def _swap_cols(mats, i, j):
-    for m in mats:
+def _mix_rows(rows, i, p, q, r, s):
+    """Rows (i, i+1) become (p*row_i + q*row_i+1, r*row_i + s*row_i+1)."""
+    for m in rows:
+        x, y = m[i], m[i + 1]
+        m[i] = [p * a + q * b for a, b in zip(x, y)]
+        m[i + 1] = [r * a + s * b for a, b in zip(x, y)]
+
+
+def _swap_cols(cols, i, j):
+    for m in cols:
         for row in m:
             row[i], row[j] = row[j], row[i]
 
 
-def _add_col(mats, src, dst, k):
-    for m in mats:
+def _add_col(cols, src, dst, k):
+    for m in cols:
         for row in m:
             x = row[src]
             if x:
                 row[dst] += k * x
+
+
+def _mix_cols(cols, i, p, q, r, s):
+    """Columns (i, i+1) become (p*col_i + q*col_i+1, r*col_i + s*col_i+1)."""
+    for m in cols:
+        for row in m:
+            x, y = row[i], row[i + 1]
+            row[i], row[i + 1] = p * x + q * y, r * x + s * y
 
 
 def _min_abs_entry(a, t, m, n):
@@ -215,26 +232,28 @@ def _min_abs_entry(a, t, m, n):
     return None if best is None else (bi, bj)
 
 
-def _diagonalize(a, u, v, start):
-    """Staircase reduction of a[start:, start:] to diagonal form.
+def _diagonalize(rows, cols):
+    """Staircase reduction of the working matrix ``rows[0]`` to diagonal form.
 
     At each step the nonzero entry of least magnitude is moved to the
     pivot position and its row and column are cleared by Euclidean
     subtraction steps.  Any nonzero remainder is strictly smaller than the
     pivot and is swapped in as the new pivot, so each step terminates.
+    Returns the number of pivots, which is the rank.
     """
+    a = rows[0]
     m = len(a)
     n = len(a[0]) if m else 0
-    t = start
+    t = 0
     while True:
         pivot = _min_abs_entry(a, t, m, n)
         if pivot is None:
-            return
+            return t
         pi, pj = pivot
         if pi != t:
-            _swap_rows([a, u], t, pi)
+            _swap_rows(rows, t, pi)
         if pj != t:
-            _swap_cols([a, v], t, pj)
+            _swap_cols(cols, t, pj)
         while True:
             p = a[t][t]
             improved = False
@@ -243,9 +262,9 @@ def _diagonalize(a, u, v, start):
                 if x:
                     q = x // p
                     if q:
-                        _add_row([a, u], t, i, -q)
+                        _add_row(rows, t, i, -q)
                     if a[i][t]:
-                        _swap_rows([a, u], t, i)
+                        _swap_rows(rows, t, i)
                         improved = True
                         break
             if improved:
@@ -255,9 +274,9 @@ def _diagonalize(a, u, v, start):
                 if x:
                     q = x // p
                     if q:
-                        _add_col([a, v], t, j, -q)
+                        _add_col(cols, t, j, -q)
                     if a[t][j]:
-                        _swap_cols([a, v], t, j)
+                        _swap_cols(cols, t, j)
                         improved = True
                         break
             if improved:
@@ -266,44 +285,39 @@ def _diagonalize(a, u, v, start):
         t += 1
 
 
-def _reduce_pair(a, u, v, t):
-    """Euclidean re-reduction of the 2x2 block at rows/columns (t, t+1).
+def _reduce(rows, cols) -> list[int]:
+    """Reduce the working matrix ``rows[0]`` (also ``cols[0]``) to Smith form.
 
-    Both rows and columns are zero outside the block, so the operations
-    below never touch the rest of the matrix.
+    Diagonalizes, repairs the divisibility chain and makes the divisors
+    positive, applying each row operation to every matrix in ``rows`` and
+    each column operation to every matrix in ``cols``.  Returns the chain.
     """
-    while True:
-        best = None
-        for i in (t, t + 1):
-            for j in (t, t + 1):
-                x = a[i][j]
-                if x:
-                    ax = abs(x)
-                    if best is None or ax < best[0]:
-                        best = (ax, i, j)
-        if best is None:
-            return
-        _, bi, bj = best
-        if bi != t:
-            _swap_rows([a, u], t, bi)
-        if bj != t:
-            _swap_cols([a, v], t, bj)
-        p = a[t][t]
-        x = a[t + 1][t]
-        if x:
-            q = x // p
-            if q:
-                _add_row([a, u], t, t + 1, -q)
-            if a[t + 1][t]:
-                continue
-        x = a[t][t + 1]
-        if x:
-            q = x // p
-            if q:
-                _add_col([a, v], t, t + 1, -q)
-            if a[t][t + 1]:
-                continue
-        return
+    a = rows[0]
+    r = _diagonalize(rows, cols)
+
+    # Repair the chain: a violating pair (x, y) becomes (g, xy/g) with
+    # g = gcd(x, y) = s*x + t*y, by one row and one column step, each of
+    # determinant 1.  Each fix strictly shrinks |d_i|, so the sweep settles.
+    # s is the inverse of x/g modulo k = |y/g|, taken nearest zero to keep
+    # the transforms small.
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            x, y = a[i][i], a[i + 1][i + 1]
+            if y % x:
+                g = math.gcd(x, y)
+                k = abs(y // g)
+                s = (pow(x // g, -1, k) + k // 2) % k - k // 2
+                t = (g - s * x) // y
+                _mix_rows(rows, i, s, t, -y // g, x // g)
+                _mix_cols(cols, i, 1, 1, -t * y // g, s * x // g)
+                changed = True
+
+    for i in range(r):
+        if a[i][i] < 0:
+            _negate_row(rows, i)
+    return [a[i][i] for i in range(r)]
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
@@ -318,44 +332,24 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     a = m.to_rows()
     u = _identity_rows(m.rows)
     v = _identity_rows(m.cols)
-
-    _diagonalize(a, u, v, 0)
-
-    limit = min(m.rows, m.cols)
-    r = sum(1 for i in range(limit) if a[i][i] != 0)
-
-    # Repair the divisibility chain: a violating pair (d_i, d_{i+1}) is
-    # replaced by (gcd, lcm) via one column addition and a local
-    # re-reduction.  Each fix strictly shrinks d_i, so the sweep settles.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            if a[i + 1][i + 1] % a[i][i]:
-                _add_col([a, v], i + 1, i, 1)
-                _reduce_pair(a, u, v, i)
-                changed = True
-
-    for i in range(r):
-        if a[i][i] < 0:
-            _negate_row([a, u], i)
-
+    divisors = _reduce([a, u], [a, v])
     return SNFResult(
         d=IntMatrix.from_rows(a, cols=m.cols),
         u=IntMatrix.from_rows(u, cols=m.rows),
         v=IntMatrix.from_rows(v, cols=m.cols),
-        divisors=tuple(a[i][i] for i in range(r)),
+        divisors=tuple(divisors),
     )
 
 
 def elementary_divisors(m: IntMatrix) -> list[int]:
     """The divisor chain d_1 | d_2 | ... of ``m``, each positive."""
-    return list(smith_normal_form(m).divisors)
+    a = m.to_rows()
+    return _reduce([a], [a])
 
 
 def rank(m: IntMatrix) -> int:
     """Rank of ``m`` over the integers (= length of the divisor chain)."""
-    return len(smith_normal_form(m).divisors)
+    return len(elementary_divisors(m))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hlk.cli as cli
+import hlk.exactla as exactla
 from hlk.exactla import (
     IntMatrix,
     MatrixParseError,
@@ -19,6 +22,7 @@ from hlk.exactla import (
     random_unimodular,
     smith_normal_form,
 )
+from hlk.invariant import handlebody_linking, quotient_groups
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -155,8 +159,19 @@ class TestSmithNormalForm:
         # pass must produce 1 | 2 | 4 here, not [2, 2, 2]
         m = IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         assert elementary_divisors(m) == [2, 2, 2]
-        m = IntMatrix.from_rows([[6, 0], [0, 4]])
-        assert elementary_divisors(m) == [2, 12]
+        # the extended-gcd step, also on negative entries, a longer chain
+        # and a zero row
+        for rows, chain in [
+            ([[6, 0], [0, 4]], [2, 12]),
+            ([[-6, 0], [0, 4]], [2, 12]),
+            ([[4, 0], [0, -6]], [2, 12]),
+            ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [1, 1, 30]),
+            ([[4, 0], [0, 0], [0, -6]], [2, 12]),
+        ]:
+            m = IntMatrix.from_rows(rows)
+            r = smith_normal_form(m)
+            assert elementary_divisors(m) == list(r.divisors) == chain
+            assert_sound_snf(m, r)
 
     def test_deterministic(self, worked_matrix):
         a = smith_normal_form(worked_matrix)
@@ -173,6 +188,33 @@ class TestSmithNormalForm:
         m = IntMatrix.from_rows([[big, big + 1], [big - 1, big]])
         # det = big^2 - (big^2 - 1) = 1, so the matrix is unimodular
         assert elementary_divisors(m) == [1, 1]
+
+
+class TestDivisorsOnlyPath:
+    def test_no_caller_needs_the_certificate(self, monkeypatch, fixtures_dir):
+        # Only smith_normal_form builds U and V; every divisor-only path must
+        # get its chain without it.
+        def refuse(m):
+            raise AssertionError("smith_normal_form called on a divisors-only path")
+
+        monkeypatch.setattr(exactla, "smith_normal_form", refuse)
+        monkeypatch.setattr(cli, "smith_normal_form", refuse)
+        m = parse_matrix((fixtures_dir / "worked_example.mat").read_text())
+        assert elementary_divisors(m) == [1, 2, 4]
+        assert rank(m) == 3
+        assert str(handlebody_linking(m)) == "{1, 2, 4}"
+        assert tuple(map(str, quotient_groups(m))) == (
+            "Z^0 (+) Z/2 (+) Z/4",
+            "Z^1 (+) Z/2 (+) Z/4",
+        )
+        path = str(fixtures_dir / "worked_example.mat")
+        for subcommand, expected in [
+            ("invariant", "Lk = {1, 2, 4}\n"),
+            ("groups", "A1 = Z^0 (+) Z/2 (+) Z/4\nA2 = Z^1 (+) Z/2 (+) Z/4\nl = 3\n"),
+        ]:
+            out = io.StringIO()
+            code = cli.run(cli.CliConfig(subcommand, path), out=out, err=io.StringIO())
+            assert (code, out.getvalue()) == (cli.EXIT_OK, expected)
 
 
 # --- determinant -----------------------------------------------------------
@@ -407,7 +449,9 @@ class TestProperties:
     @given(int_matrices())
     @settings(max_examples=120, deadline=None)
     def test_snf_is_sound(self, m):
-        assert_sound_snf(m, smith_normal_form(m))
+        r = smith_normal_form(m)
+        assert_sound_snf(m, r)
+        assert elementary_divisors(m) == list(r.divisors)
 
     @given(int_matrices(max_dim=3, max_entry=12))
     @settings(max_examples=120, deadline=None)
