@@ -19,6 +19,7 @@ from .diagram import (
 )
 from .exactla import (
     MatrixParseError,
+    _significant_lines,
     format_matrix,
     parse_matrix,
     smith_normal_form,
@@ -78,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=text, description=text)
         cmd.add_argument(
-            "path",
+            "input_path",
+            metavar="path",
             nargs="?",
             default="-",
             help="input file, or - for standard input (default)",
@@ -94,32 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "path", None),
-        trials=getattr(args, "trials", 100),
-        seed=getattr(args, "seed", 0),
-        verbose=getattr(args, "verbose", False),
-    )
-
-
 def detect_format(text: str) -> str | None:
     """``'diagram'`` or ``'matrix'`` by the first significant token, else None.
 
-    Comment and blank lines are skipped, so both file formats sniff
-    correctly whatever they start with.
+    Reads only up to the first line that is not blank or a comment, with
+    the tokens split exactly as both parsers split them.
     """
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head = line.split()[0]
-        if head == "component":
-            return "diagram"
-        if head == "matrix":
-            return "matrix"
-        return None
+    for _, tokens in _significant_lines(text):
+        return {"component": "diagram", "matrix": "matrix"}.get(tokens[0])
     return None
 
 
@@ -151,6 +135,9 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     except OSError as exc:
         print(f"hlk {config.subcommand}: error: {exc}", file=err)
         return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"hlk {config.subcommand}: error: input is not UTF-8: {exc}", file=err)
+        return EXIT_PARSE
 
     kind = detect_format(text)
     if kind is None:
@@ -202,7 +189,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return run(_config_from_args(args))
+    return run(CliConfig(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ declaration order fixes the row/column order of the linking matrix.
 
 from dataclasses import dataclass
 
-from .exactla import IntMatrix
+from .exactla import IntMatrix, _ParseError, _significant_lines
 
 __all__ = [
     "Loop",
@@ -31,14 +31,8 @@ __all__ = [
 ]
 
 
-class DiagramParseError(ValueError):
+class DiagramParseError(_ParseError):
     """Malformed diagram text (syntax or structural violation)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class InvalidDiagramError(ValueError):
@@ -68,7 +62,7 @@ class Diagram:
 
     def __post_init__(self):
         if len(self.component_names) != 2:
-            raise ValueError("a diagram has exactly two components")
+            raise ValueError(f"expected exactly two components, found {len(self.component_names)}")
         names = set()
         for loop in self.loops:
             if loop.component not in (0, 1):
@@ -103,11 +97,7 @@ def parse_diagram(text: str) -> Diagram:
     crossings: list[Crossing] = []
     declared: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = [t for t in stripped.split(" ") if t]
+    for lineno, tokens in _significant_lines(text):
         keyword = tokens[0]
 
         if keyword == "component":
@@ -143,12 +133,12 @@ def parse_diagram(text: str) -> Diagram:
         else:
             raise DiagramParseError(f"unknown directive {keyword!r}", line=lineno)
 
-    if len(component_names) != 2:
-        raise DiagramParseError(f"expected exactly two components, found {len(component_names)}")
-    for side, cname in enumerate(component_names):
-        if not any(l.component == side for l in loops):
-            raise DiagramParseError(f"component {cname!r} has no loops")
-    return Diagram((component_names[0], component_names[1]), tuple(loops), tuple(crossings))
+    # Duplicate and unknown loop ids were caught above with their line; the
+    # constructor states the end-of-input rules (two components, none empty).
+    try:
+        return Diagram(tuple(component_names), tuple(loops), tuple(crossings))
+    except ValueError as exc:
+        raise DiagramParseError(str(exc)) from None
 
 
 def _pair_sums(d: Diagram) -> dict[tuple[str, str], int]:

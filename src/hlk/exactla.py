@@ -9,7 +9,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 __all__ = [
     "IntMatrix",
@@ -28,14 +28,18 @@ __all__ = [
 ]
 
 
-class MatrixParseError(ValueError):
-    """Raised when a matrix file cannot be parsed."""
+class _ParseError(ValueError):
+    """A parse error, with ``line N:`` prefixed when the line is known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class MatrixParseError(_ParseError):
+    """Raised when a matrix file cannot be parsed."""
 
 
 @dataclass(frozen=True)
@@ -343,6 +347,9 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
 
 def elementary_divisors(m: IntMatrix) -> list[int]:
     """The divisor chain d_1 | d_2 | ... of ``m``, each positive."""
+    if not m.entries:
+        # to_rows would build one empty list per row of an m x 0 matrix.
+        return []
     a = m.to_rows()
     return _reduce([a], [a])
 
@@ -535,10 +542,20 @@ def apply_slide(
 
 
 # ---------------------------------------------------------------------------
-# Matrix file format: header `matrix <m> <n>`, then m rows of n integers, each an
-# ASCII token `[+-]?[0-9]+`, space separated.  `#` comments and blanks are ignored.
+# Line grammar shared by matrix files, diagram files and the format sniff:
+# blank lines and lines starting with `#` are ignored, tokens are separated by
+# runs of ASCII spaces.  Matrix file format: header `matrix <m> <n>`, then m rows
+# of n integers, each an ASCII token `[+-]?[0-9]+`.
 
 _INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
+
+
+def _significant_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, tokens)`` of each line that is not blank or a comment, lazily."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, [t for t in stripped.split(" ") if t]
 
 
 def _integers(tokens: list[str], lineno: int, what: str) -> list[int]:
@@ -553,13 +570,7 @@ def _integers(tokens: list[str], lineno: int, what: str) -> list[int]:
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse the textual matrix format; raises MatrixParseError with a line number."""
-    significant = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        significant.append((lineno, [t for t in stripped.split(" ") if t]))
-
+    significant = list(_significant_lines(text))
     if not significant:
         raise MatrixParseError("empty input, expected a 'matrix <m> <n>' header")
     header_line, header = significant[0]

@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hlk.cli as cli
 from hlk.cli import (
@@ -14,7 +16,7 @@ from hlk.cli import (
     main,
     run,
 )
-from hlk.exactla import format_matrix, parse_matrix
+from hlk.exactla import IntMatrix, format_matrix, parse_matrix
 
 WORKED_TEXT = "matrix 3 4\n-1 -1 0 2\n1 -3 -2 0\n0 0 2 -2\n"
 
@@ -116,6 +118,15 @@ class TestGroupsCommand:
     def test_separated(self, fixtures_dir, capsys):
         assert main(["groups", str(fixtures_dir / "separated.hlk")]) == EXIT_OK
         assert capsys.readouterr().out == "A1 = Z^2\nA2 = Z^3\nl = 0\n"
+
+    def test_width_zero_header_builds_no_rows(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("to_rows called on a matrix with no entries")
+
+        monkeypatch.setattr(IntMatrix, "to_rows", refuse)
+        code, out, err = run_config(CliConfig("groups"), "matrix 1000000000000 0\n")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "A1 = Z^1000000000000\nA2 = 0\nl = 0\n"
 
 
 class TestSnfCommand:
@@ -244,3 +255,56 @@ class TestExitCodes:
     def test_diagnostics_go_to_stderr(self):
         code, out, err = run_config(CliConfig("groups"), "nonsense\n")
         assert code == EXIT_PARSE and out == "" and err != ""
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(b"matrix 1 1\n\xff\n")
+        code, out, err = run_config(CliConfig("invariant", str(path)))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("hlk invariant: error: input is not UTF-8: ")
+
+    def test_undecodable_stdin_is_a_parse_error(self):
+        raw = io.BytesIO(b"matrix 1 1\n\xff\n")
+        stdin = io.TextIOWrapper(raw, encoding="utf-8", errors="strict")
+        out, err = io.StringIO(), io.StringIO()
+        assert run(CliConfig("groups"), stdin=stdin, out=out, err=err) == EXIT_PARSE
+        assert out.getvalue() == ""
+        assert "input is not UTF-8" in err.getvalue()
+
+
+# --- the input layer as a whole ---------------------------------------------
+
+# Lines of a head word and up to three arguments.  The gaps and breaks include
+# separators that str.split or str.splitlines know and the documented grammar
+# does not, so the sniff and both parsers meet the same odd text.
+HEADS = ["matrix", "component", "loop", "crossing", "#", "1", "-3"]
+ARGS = ["a", "b", "+", "-", "#", *"0123456789", "-3", "+12"]
+GAPS = [" ", " ", " ", "  ", "\t", "\x0c", "\x1c", "\u3000"]
+BREAKS = ["\n", "\n", "\n", "\r", "\r\n", "\x0b", "\x85"]
+LINES = st.tuples(
+    st.sampled_from(HEADS),
+    st.lists(st.tuples(st.sampled_from(GAPS), st.sampled_from(ARGS)), max_size=3),
+    st.sampled_from(BREAKS),
+).map(lambda line: line[0] + "".join(gap + arg for gap, arg in line[1]) + line[2])
+TEXTS = st.lists(LINES, max_size=8).map(lambda lines: "".join(lines)[:80])
+
+
+class TestInputLayer:
+    @pytest.mark.parametrize("subcommand", ["invariant", "matrix"])
+    @pytest.mark.parametrize(
+        "text", ["matrix\t1 1\n5\n", "component\th1\n", "component\u3000h1\n"]
+    )
+    def test_sniff_and_parsers_agree(self, subcommand, text):
+        code, out, err = run_config(CliConfig(subcommand), text)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "neither a diagram nor a matrix file" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["invariant", "groups", "matrix"]), TEXTS)
+    def test_any_text_ends_in_a_documented_exit_code(self, subcommand, text):
+        code, out, err = run_config(CliConfig(subcommand), text)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_INVALID)
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert out == "" and err.startswith(f"hlk {subcommand}: error: ")

@@ -95,6 +95,14 @@ class TestParseDiagram:
         with pytest.raises(DiagramParseError, match="two components"):
             parse_diagram("")
 
+    def test_end_of_input_rules_come_from_the_constructor(self):
+        with pytest.raises(DiagramParseError) as info:
+            parse_diagram("component h1\nloop a\n")
+        assert str(info.value) == "expected exactly two components, found 1"
+        assert info.value.line is None
+        with pytest.raises(ValueError, match="expected exactly two components, found 1"):
+            Diagram(("x",), (Loop("a", 0),), ())
+
     def test_crossing_must_follow_loops(self):
         with pytest.raises(DiagramParseError) as info:
             parse_diagram("component h1\nloop a\ncrossing a b +\ncomponent h2\nloop b\n")
