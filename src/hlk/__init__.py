@@ -7,7 +7,6 @@ arithmetic; randomized helpers exist to cross-check the reduction.
 """
 
 from .diagram import (
-    Crossing,
     Diagram,
     DiagramParseError,
     InvalidDiagramError,
@@ -45,7 +44,6 @@ from .selftest import run_selftest
 __version__ = "0.1.0"
 
 __all__ = [
-    "Crossing",
     "Diagram",
     "DiagramParseError",
     "InvalidDiagramError",

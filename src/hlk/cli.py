@@ -45,6 +45,10 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_SELFTEST = 4
 
+# `hlk snf` prints an m x m `U` and an n x n `V`, so even a matrix with no
+# entries costs O(m^2 + n^2); larger inputs are refused with EXIT_PARSE.
+_SNF_MAX_DIM = 2000
+
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -173,6 +177,10 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
         print(f"A2 = {second}", file=out)
         print(f"l = {m.rows - first.free_rank}", file=out)
     elif config.subcommand == "snf":
+        if max(m.shape) > _SNF_MAX_DIM:
+            limit = f"at most {_SNF_MAX_DIM} rows and {_SNF_MAX_DIM} columns"
+            print(f"hlk snf: error: the matrix is {m.rows} x {m.cols}; snf takes {limit}", file=err)
+            return EXIT_PARSE
         # Format all three blocks before writing, so a failure leaves stdout empty.
         r = smith_normal_form(m)
         blocks = (("D", r.d), ("U", r.u), ("V", r.v))

@@ -14,13 +14,14 @@ The loops of a component are its first-homology basis circles; their
 declaration order fixes the row/column order of the linking matrix.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .exactla import IntMatrix, _ParseError, _significant_lines
 
 __all__ = [
     "Loop",
-    "Crossing",
     "Diagram",
     "DiagramParseError",
     "InvalidDiagramError",
@@ -39,6 +40,9 @@ class InvalidDiagramError(ValueError):
     """Crossing data inconsistent with closed curves, or a bad loop pair."""
 
 
+_SIGNS = {"+": 1, "-": -1}
+
+
 @dataclass(frozen=True)
 class Loop:
     name: str
@@ -46,19 +50,17 @@ class Loop:
 
 
 @dataclass(frozen=True)
-class Crossing:
-    over: str
-    under: str
-    sign: int
-
-
-@dataclass(frozen=True)
 class Diagram:
-    """Two named components, their loops in declaration order, and signed crossings."""
+    """Two named components, their loops in declaration order, and the
+    signed crossing sum of each ``(over, under)`` loop pair.
+
+    Linking numbers need only these sums, so a diagram holds one sum per
+    loop pair however many crossings its file lists.
+    """
 
     component_names: tuple[str, str]
     loops: tuple[Loop, ...]
-    crossings: tuple[Crossing, ...]
+    crossing_sums: Mapping[tuple[str, str], int]
 
     def __post_init__(self):
         if len(self.component_names) != 2:
@@ -73,12 +75,17 @@ class Diagram:
         for side in (0, 1):
             if not any(l.component == side for l in self.loops):
                 raise ValueError(f"component {self.component_names[side]!r} has no loops")
-        for c in self.crossings:
-            if c.sign not in (1, -1):
-                raise ValueError(f"crossing sign must be +-1, got {c.sign!r}")
-            for name in (c.over, c.under):
+        sums = MappingProxyType(dict(self.crossing_sums))
+        for pair, total in sums.items():
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise TypeError(f"crossing sum key must be an (over, under) pair, got {pair!r}")
+            if type(total) is not int:
+                raise TypeError(f"crossing sum of {pair!r} must be an int, got {total!r}")
+            for name in pair:
                 if name not in names:
                     raise ValueError(f"crossing references unknown loop {name!r}")
+        # A read-only copy, so the checked sums cannot change afterwards.
+        object.__setattr__(self, "crossing_sums", sums)
 
     def component_loops(self, component: int) -> tuple[Loop, ...]:
         return tuple(l for l in self.loops if l.component == component)
@@ -94,13 +101,24 @@ def parse_diagram(text: str) -> Diagram:
     """Parse diagram text; raises DiagramParseError with a line number."""
     component_names: list[str] = []
     loops: list[Loop] = []
-    crossings: list[Crossing] = []
+    sums: dict[tuple[str, str], int] = {}
     declared: set[str] = set()
 
     for lineno, tokens in _significant_lines(text):
         keyword = tokens[0]
 
-        if keyword == "component":
+        if keyword == "crossing":
+            if len(tokens) != 4:
+                raise DiagramParseError("expected 'crossing <over> <under> <sign>'", line=lineno)
+            sign = _SIGNS.get(tokens[3])
+            if sign is None:
+                raise DiagramParseError(f"sign must be '+' or '-', got {tokens[3]!r}", line=lineno)
+            pair = (tokens[1], tokens[2])
+            for name in pair:
+                if name not in declared:
+                    raise DiagramParseError(f"crossing references unknown loop {name!r}", line=lineno)
+            sums[pair] = sums.get(pair, 0) + sign
+        elif keyword == "component":
             if len(tokens) != 2:
                 raise DiagramParseError("expected 'component <name>'", line=lineno)
             if len(component_names) == 2:
@@ -116,38 +134,15 @@ def parse_diagram(text: str) -> Diagram:
                 raise DiagramParseError(f"duplicate loop id {name!r}", line=lineno)
             declared.add(name)
             loops.append(Loop(name, len(component_names) - 1))
-        elif keyword == "crossing":
-            if len(tokens) != 4:
-                raise DiagramParseError("expected 'crossing <over> <under> <sign>'", line=lineno)
-            over, under, sign_token = tokens[1], tokens[2], tokens[3]
-            if sign_token == "+":
-                sign = 1
-            elif sign_token == "-":
-                sign = -1
-            else:
-                raise DiagramParseError(f"sign must be '+' or '-', got {sign_token!r}", line=lineno)
-            for name in (over, under):
-                if name not in declared:
-                    raise DiagramParseError(f"crossing references unknown loop {name!r}", line=lineno)
-            crossings.append(Crossing(over, under, sign))
         else:
             raise DiagramParseError(f"unknown directive {keyword!r}", line=lineno)
 
     # Duplicate and unknown loop ids were caught above with their line; the
     # constructor states the end-of-input rules (two components, none empty).
     try:
-        return Diagram(tuple(component_names), tuple(loops), tuple(crossings))
+        return Diagram(tuple(component_names), tuple(loops), sums)
     except ValueError as exc:
         raise DiagramParseError(str(exc)) from None
-
-
-def _pair_sums(d: Diagram) -> dict[tuple[str, str], int]:
-    """Signed crossing sum per ``(over, under)`` loop pair, in one pass over the crossings."""
-    sums: dict[tuple[str, str], int] = {}
-    for c in d.crossings:
-        key = (c.over, c.under)
-        sums[key] = sums.get(key, 0) + c.sign
-    return sums
 
 
 def _linking(sums: dict, a: str, b: str, entry: tuple[int, int] | None = None) -> int:
@@ -162,23 +157,24 @@ def _linking(sums: dict, a: str, b: str, entry: tuple[int, int] | None = None) -
 def linking_number(d: Diagram, a: str, b: str) -> int:
     """Linking number of loops ``a`` and ``b``: half the signed crossing sum.
 
-    Counts every crossing between the two loops regardless of which is on
-    top; a closed-curve pair always crosses an even number of times, so an
-    odd sum means the crossing data is inconsistent and raises
-    InvalidDiagramError.  Crossings involving other loops, and
-    self/intra-component crossings, are ignored.
+    Adds the ``(a, b)`` and ``(b, a)`` sums, so every crossing between the
+    two loops counts regardless of which is on top; a closed-curve pair
+    always crosses an even number of times, so an odd sum means the
+    crossing data is inconsistent and raises InvalidDiagramError.
+    Crossings involving other loops, and self/intra-component crossings,
+    are ignored.
     """
     la, lb = d.loop(a), d.loop(b)
     if la.component == lb.component:
         raise InvalidDiagramError(f"loops {a!r} and {b!r} lie in the same component")
-    return _linking(_pair_sums(d), a, b)
+    return _linking(d.crossing_sums, a, b)
 
 
 def linking_matrix(d: Diagram) -> IntMatrix:
     """Matrix of linking numbers, rows = first component's loops, cols = second's."""
     first = d.component_loops(0)
     second = d.component_loops(1)
-    sums = _pair_sums(d)
+    sums = d.crossing_sums
     rows = [
         [_linking(sums, e.name, f.name, (i, j)) for j, f in enumerate(second)]
         for i, e in enumerate(first)
@@ -189,7 +185,7 @@ def linking_matrix(d: Diagram) -> IntMatrix:
 def merge_loops(d: Diagram, first: str, second: str, merged: str) -> Diagram:
     """Fuse two loops of one component into a single loop.
 
-    The merged loop inherits both crossing records, so it behaves like the
+    The merged loop inherits both loops' crossing sums, so it behaves like the
     sum of the two homology classes: its linking number with any loop of
     the other component is the sum of the originals'.  Crossings between
     the two merged loops become self-crossings and drop out of every
@@ -200,19 +196,13 @@ def merge_loops(d: Diagram, first: str, second: str, merged: str) -> Diagram:
         raise ValueError("cannot merge a loop with itself")
     if la.component != lb.component:
         raise ValueError(f"loops {first!r} and {second!r} lie in different components")
-    new_loops = []
-    for l in d.loops:
-        if l.name == first:
-            new_loops.append(Loop(merged, l.component))
-        elif l.name == second:
-            continue
-        else:
-            if l.name == merged:
-                raise ValueError(f"merged id {merged!r} is already in use")
-            new_loops.append(l)
+    if merged in {l.name for l in d.loops} - {first, second}:
+        raise ValueError(f"merged id {merged!r} is already in use")
     rename = {first: merged, second: merged}
-    new_crossings = tuple(
-        Crossing(rename.get(c.over, c.over), rename.get(c.under, c.under), c.sign)
-        for c in d.crossings
-    )
-    return Diagram(d.component_names, tuple(new_loops), new_crossings)
+    kept = (l for l in d.loops if l.name != second)
+    new_loops = tuple(Loop(rename.get(l.name, l.name), l.component) for l in kept)
+    sums: dict[tuple[str, str], int] = {}
+    for (over, under), total in d.crossing_sums.items():
+        pair = (rename.get(over, over), rename.get(under, under))
+        sums[pair] = sums.get(pair, 0) + total
+    return Diagram(d.component_names, new_loops, sums)

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hlk.cli import (
     main,
     run,
 )
-from hlk.exactla import IntMatrix, format_matrix, parse_matrix
+from hlk.exactla import IntMatrix, SplitMix64, format_matrix, parse_matrix
 
 WORKED_TEXT = "matrix 3 4\n-1 -1 0 2\n1 -3 -2 0\n0 0 2 -2\n"
 
@@ -77,6 +78,23 @@ class TestInvariantCommand:
     def test_main_reads_stdin(self, monkeypatch, capsys):
         code, out, err = run_main(["invariant"], WORKED_TEXT, monkeypatch, capsys)
         assert (code, out) == (EXIT_OK, "Lk = {1, 2, 4}\n")
+
+    def test_many_crossings_are_fast(self):
+        # 80,000 crossings on two loops a side: noise that cancels pair by pair,
+        # then the planted linking matrix diag(2, 6).
+        rng = SplitMix64(80)
+        lines = ["component h1", "loop e0", "loop e1", "component h2", "loop f0", "loop f1"]
+        planted = [(0, 0)] * 2 + [(1, 1)] * 6
+        for _ in range((40_000 - len(planted)) // 2):
+            i, j = rng.below(2), rng.below(2)
+            for sign in "+-":
+                lines += [f"crossing e{i} f{j} {sign}", f"crossing f{j} e{i} {sign}"]
+        lines += [f"crossing {over} +" for i, j in planted for over in (f"e{i} f{j}", f"f{j} e{i}")]
+        text = "\n".join(lines) + "\n"
+        assert text.count("crossing") == 80_000
+        start = time.perf_counter()
+        assert run_config(CliConfig("invariant"), text) == (EXIT_OK, "Lk = {2, 6}\n", "")
+        assert time.perf_counter() - start < 2.0
 
     def test_byte_identical_reruns(self, fixtures_dir, capsys):
         main(["invariant", str(fixtures_dir / "worked_example.hlk")])
@@ -152,6 +170,26 @@ class TestSnfCommand:
     def test_accepts_diagram_input(self, fixtures_dir, capsys):
         assert main(["snf", str(fixtures_dir / "hopf.hlk")]) == EXIT_OK
         assert "# D\nmatrix 1 1\n1\n" in capsys.readouterr().out
+
+    def test_size_limit(self, monkeypatch):
+        # Records shapes only: a failure report must not print a 10^12-row matrix.
+        reduced = []
+        monkeypatch.setattr(cli, "smith_normal_form", lambda m: reduced.append(m.shape))
+        limit = f"at most {cli._SNF_MAX_DIM} rows and {cli._SNF_MAX_DIM} columns"
+        for text in ("matrix 1000000000000 0\n", f"matrix 0 {cli._SNF_MAX_DIM + 1}\n"):
+            code, out, err = run_config(CliConfig("snf"), text)
+            assert (code, out) == (EXIT_PARSE, "")
+            assert limit in err
+        assert reduced == []
+        code, out, _ = run_config(CliConfig("invariant"), "matrix 1000000000000 0\n")
+        assert (code, out) == (EXIT_OK, "Lk = {0}\n")
+
+    def test_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "_SNF_MAX_DIM", 3)
+        identity = "matrix 3 3\n1 0 0\n0 1 0\n0 0 1\n"
+        expected = "".join(f"# {label}\n{identity}" for label in "DUV")
+        assert run_config(CliConfig("snf"), identity) == (EXIT_OK, expected, "")
+        assert run_config(CliConfig("snf"), "matrix 4 0\n")[:2] == (EXIT_PARSE, "")
 
     def test_failed_formatting_writes_nothing(self, monkeypatch):
         calls = []

@@ -3,7 +3,6 @@ import time
 import pytest
 
 from hlk.diagram import (
-    Crossing,
     Diagram,
     DiagramParseError,
     InvalidDiagramError,
@@ -22,31 +21,44 @@ def two_loops(crossings: str) -> Diagram:
     return parse_diagram(f"component h1\nloop a\ncomponent h2\nloop b\n{crossings}")
 
 
-def random_diagram(rng: SplitMix64) -> Diagram:
-    """Up to 4 loops a side, declared interleaved, with crossing pairs in both
-    over/under orders (self and same-component pairs included) and, now and
-    then, a lone crossing that makes some pair's sum odd."""
-    loops = [Loop(f"e{i}", 0) for i in range(1 + rng.below(4))]
-    loops += [Loop(f"f{j}", 1) for j in range(1 + rng.below(4))]
-    for k in range(len(loops) - 1, 0, -1):
+def shuffle(rng: SplitMix64, items: list) -> None:
+    for k in range(len(items) - 1, 0, -1):
         swap = rng.below(k + 1)
-        loops[k], loops[swap] = loops[swap], loops[k]
+        items[k], items[swap] = items[swap], items[k]
+
+
+def diagram_text(first: list[str], second: list[str], crossings: list[tuple[str, str, int]]) -> str:
+    lines = ["component h1", *(f"loop {n}" for n in first), "component h2"]
+    lines += [f"loop {n}" for n in second]
+    lines += [f"crossing {o} {u} {'+' if s > 0 else '-'}" for o, u, s in crossings]
+    return "\n".join(lines) + "\n"
+
+
+def random_diagram(rng: SplitMix64) -> tuple[str, list[str], list[str], list[tuple[str, str, int]]]:
+    """Diagram text with up to 4 loops a side in shuffled declaration order,
+    crossing pairs in both over/under orders (self and same-component pairs
+    included) and, now and then, a lone crossing that makes some pair's sum
+    odd.  Returns the text, the loops of each side in declaration order and
+    the ``(over, under, sign)`` list the text was written from."""
+    loops = [f"e{i}" for i in range(1 + rng.below(4))]
+    loops += [f"f{j}" for j in range(1 + rng.below(4))]
+    shuffle(rng, loops)
     crossings = []
 
     def pick():
-        return loops[rng.below(len(loops))].name
+        return loops[rng.below(len(loops))]
 
     for _ in range(rng.below(30)):
         a, b = pick(), pick()
         sign = 1 if rng.below(2) else -1
-        crossings.append(Crossing(a, b, sign))
-        crossings.append(Crossing(b, a, sign) if rng.below(2) else Crossing(a, b, -sign))
+        crossings.append((a, b, sign))
+        crossings.append((b, a, sign) if rng.below(2) else (a, b, -sign))
     for _ in range(rng.below(3)):
-        crossings.append(Crossing(pick(), pick(), 1 if rng.below(2) else -1))
-    for k in range(len(crossings) - 1, 0, -1):
-        swap = rng.below(k + 1)
-        crossings[k], crossings[swap] = crossings[swap], crossings[k]
-    return Diagram(("h1", "h2"), tuple(loops), tuple(crossings))
+        crossings.append((pick(), pick(), 1 if rng.below(2) else -1))
+    shuffle(rng, crossings)
+    first = [n for n in loops if n.startswith("e")]
+    second = [n for n in loops if n.startswith("f")]
+    return diagram_text(first, second, crossings), first, second, crossings
 
 
 # --- parsing ---------------------------------------------------------------
@@ -57,8 +69,7 @@ class TestParseDiagram:
         d = parse_diagram(MINIMAL)
         assert d.component_names == ("h1", "h2")
         assert len(d.loops) == 2
-        assert len(d.crossings) == 2
-        assert d.crossings[0] == Crossing("a", "b", 1)
+        assert d.crossing_sums == {("a", "b"): 1, ("b", "a"): 1}
 
     def test_declaration_order_kept(self, fixtures_dir):
         d = parse_diagram((fixtures_dir / "worked_example.hlk").read_text())
@@ -68,7 +79,21 @@ class TestParseDiagram:
     def test_comments_blanks_and_spacing(self):
         text = "# c\n\ncomponent   h1\n  loop a\n\ncomponent h2\nloop b\ncrossing  a   b  -\n"
         d = parse_diagram(text)
-        assert d.crossings == (Crossing("a", "b", -1),)
+        assert d.crossing_sums == {("a", "b"): -1}
+
+    def test_state_is_per_loop_pair_not_per_crossing(self):
+        rng = SplitMix64(5)
+        names = ["e0", "e1", "e2", "f0", "f1"]
+        for count in (0, 10, 1_000, 20_000):
+            crossings = [
+                (names[rng.below(5)], names[rng.below(5)], 1 if rng.below(2) else -1)
+                for _ in range(count)
+            ]
+            d = parse_diagram(diagram_text(names[:3], names[3:], crossings))
+            tally = {}
+            for over, under, sign in crossings:
+                tally[over, under] = tally.get((over, under), 0) + sign
+            assert d.crossing_sums == tally
 
     def test_errors_carry_line_numbers(self):
         cases = [
@@ -120,10 +145,23 @@ class TestDiagramType:
             Diagram(("x", "y"), (a, Loop("b", 2)), ())
         with pytest.raises(ValueError):
             Diagram(("x", "y"), (a,), ())
-        with pytest.raises(ValueError):
-            Diagram(("x", "y"), (a, b), (Crossing("a", "b", 2),))
-        with pytest.raises(ValueError):
-            Diagram(("x", "y"), (a, b), (Crossing("a", "zz", 1),))
+        with pytest.raises(ValueError, match="unknown loop 'zz'"):
+            Diagram(("x", "y"), (a, b), {("a", "zz"): 1})
+        with pytest.raises(ValueError, match="unknown loop 'zz'"):
+            Diagram(("x", "y"), (a, b), {("zz", "b"): 0})
+        with pytest.raises(TypeError, match="pair"):
+            Diagram(("x", "y"), (a, b), {"ab": 1})
+        with pytest.raises(TypeError, match="pair"):
+            Diagram(("x", "y"), (a, b), {("a", "b", "a"): 1})
+        for total in (1.5, 2.0, True):
+            with pytest.raises(TypeError, match="must be an int"):
+                Diagram(("x", "y"), (a, b), {("a", "b"): total})
+        sums = {("a", "b"): 2}
+        d = Diagram(("x", "y"), (a, b), sums)
+        sums[("a", "b")] = 3
+        assert d.crossing_sums == {("a", "b"): 2}
+        with pytest.raises(TypeError):
+            d.crossing_sums[("b", "a")] = 1
 
     def test_loop_lookup(self):
         d = parse_diagram(MINIMAL)
@@ -198,20 +236,25 @@ class TestLinkingMatrix:
             linking_matrix(parse_diagram(text))
 
     def test_agrees_with_pairwise_linking_numbers(self):
+        # The expected table comes from a naive scan of the crossing list the
+        # text was written from, not from the parsed tally.
         odd_seen = 0
         for seed in range(300):
-            d = random_diagram(SplitMix64(seed))
+            text, first, second, crossings = random_diagram(SplitMix64(seed))
+            d = parse_diagram(text)
             table, first_odd = [], None
-            for i, e in enumerate(d.component_loops(0)):
+            for i, e in enumerate(first):
                 row = []
-                for j, f in enumerate(d.component_loops(1)):
-                    try:
-                        row.append(linking_number(d, e.name, f.name))
-                        assert linking_number(d, f.name, e.name) == row[-1]
-                    except InvalidDiagramError as exc:
+                for j, f in enumerate(second):
+                    total = sum(s for o, u, s in crossings if {o, u} == {e, f})
+                    if total % 2:
                         if first_odd is None:
-                            first_odd = f"entry ({i}, {j}): {exc}"
+                            first_odd = f"entry ({i}, {j}): odd crossing sign sum {total}"
+                            first_odd += f" between {e!r} and {f!r}"
                         row.append(None)
+                    else:
+                        row.append(total // 2)
+                        assert linking_number(d, e, f) == linking_number(d, f, e) == total // 2
                 table.append(row)
             if first_odd is None:
                 assert linking_matrix(d).to_rows() == table, seed
@@ -232,11 +275,10 @@ class TestLinkingMatrix:
             i, j = rng.below(50), rng.below(50)
             sign = 1 if rng.below(2) else -1
             expected[i][j] += sign
-            crossings += [Crossing(first[i], second[j], sign), Crossing(second[j], first[i], sign)]
-        loops = tuple(Loop(n, 0) for n in first) + tuple(Loop(n, 1) for n in second)
-        d = Diagram(("h1", "h2"), loops, tuple(crossings))
+            crossings += [(first[i], second[j], sign), (second[j], first[i], sign)]
+        text = diagram_text(first, second, crossings)
         start = time.perf_counter()
-        m = linking_matrix(d)
+        m = linking_matrix(parse_diagram(text))
         assert time.perf_counter() - start < 2.0
         assert m.to_rows() == expected
 
@@ -270,6 +312,17 @@ class TestMergeLoops:
         merged = merge_loops(parse_diagram(text), "a", "c", "ac")
         # the a-c crossing now pairs 'ac' with itself and stops counting
         assert linking_number(merged, "ac", "b") == 1
+        assert merged.crossing_sums == {("ac", "b"): 1, ("b", "ac"): 1, ("ac", "ac"): 1}
+
+    def test_colliding_sums_add(self):
+        text = (
+            "component h1\nloop a\nloop c\ncomponent h2\nloop b\n"
+            "crossing a b +\ncrossing b a +\ncrossing c b +\ncrossing b c -\ncrossing c b +\n"
+        )
+        merged = merge_loops(parse_diagram(text), "a", "c", "ac")
+        assert merged.crossing_sums == {("ac", "b"): 3, ("b", "ac"): 0}
+        with pytest.raises(InvalidDiagramError, match="odd crossing sign sum 3"):
+            linking_number(merged, "ac", "b")
 
     def test_errors(self):
         d = parse_diagram(MINIMAL)

@@ -371,6 +371,56 @@ class TestApplySlide:
 # --- matrix file format ----------------------------------------------------
 
 
+def filtering_split(text):
+    """The line grammar as the README states it: tokens are runs of non-spaces."""
+    expected = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            expected.append((lineno, [t for t in stripped.split(" ") if t]))
+    return expected
+
+
+class TestLineScanner:
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            (
+                "component   h1\ncrossing  a   b  -\n",
+                [(1, ["component", "h1"]), (2, ["crossing", "a", "b", "-"])],
+            ),
+            (
+                "   loop a\n  matrix 2 3  \n\t1 2\t \n",
+                [(1, ["loop", "a"]), (2, ["matrix", "2", "3"]), (3, ["1", "2"])],
+            ),
+            ("crossing a\tb +\n\tloop\t a \n", [(1, ["crossing", "a\tb", "+"]), (2, ["loop\t", "a"])]),
+            (
+                "component\u3000h1\n\u3000loop a\u3000\nloop  \u3000 b\n",
+                [(1, ["component\u3000h1"]), (2, ["loop", "a"]), (3, ["loop", "\u3000", "b"])],
+            ),
+            ("matrix 1 2\r\n1  2\r\n# c\r\n\r\n", [(1, ["matrix", "1", "2"]), (2, ["1", "2"])]),
+            (
+                "loop a\x0bloop  b\u2028crossing a b +\x0c\x1c 7 \x85x",
+                [
+                    (1, ["loop", "a"]),
+                    (2, ["loop", "b"]),
+                    (3, ["crossing", "a", "b", "+"]),
+                    (5, ["7"]),
+                    (6, ["x"]),
+                ],
+            ),
+            ("\n  \n#\n  # loop a\nloop #a\n", [(5, ["loop", "#a"])]),
+        ],
+    )
+    def test_tokens_are_runs_of_non_spaces(self, text, lines):
+        assert list(exactla._significant_lines(text)) == lines
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=" \t\u3000\r\n\x0b\u2028#ab", max_size=40))
+    def test_tokens_match_on_any_text(self, text):
+        assert list(exactla._significant_lines(text)) == filtering_split(text)
+
+
 class TestMatrixFormat:
     def test_parse_basic(self):
         m = parse_matrix("matrix 2 3\n1 -2 3\n0 5 -6\n")
