@@ -167,27 +167,38 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
         print(f"hlk {config.subcommand}: error: {exc}", file=err)
         return EXIT_INVALID
 
-    if config.subcommand == "invariant":
-        print(f"Lk = {handlebody_linking(m)}", file=out)
-    elif config.subcommand == "matrix":
-        out.write(format_matrix(m))
-    elif config.subcommand == "groups":
-        first, second = quotient_groups(m)
-        print(f"A1 = {first}", file=out)
-        print(f"A2 = {second}", file=out)
-        print(f"l = {m.rows - first.free_rank}", file=out)
-    elif config.subcommand == "snf":
-        if max(m.shape) > _SNF_MAX_DIM:
-            limit = f"at most {_SNF_MAX_DIM} rows and {_SNF_MAX_DIM} columns"
-            print(f"hlk snf: error: the matrix is {m.rows} x {m.cols}; snf takes {limit}", file=err)
-            return EXIT_PARSE
-        # Format all three blocks before writing, so a failure leaves stdout empty.
-        r = smith_normal_form(m)
-        blocks = (("D", r.d), ("U", r.u), ("V", r.v))
-        out.write("".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks))
-    else:
-        print(f"hlk: error: unknown subcommand {config.subcommand!r}", file=err)
-        return EXIT_USAGE
+    # Results are exact, so printing them lifts Python's int-to-str digit limit;
+    # the parser above still refuses entries over it.  The caller's setting is
+    # restored afterwards.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits:
+        previous = sys.get_int_max_str_digits()
+        set_digits(0)
+    try:
+        if config.subcommand == "invariant":
+            print(f"Lk = {handlebody_linking(m)}", file=out)
+        elif config.subcommand == "matrix":
+            out.write(format_matrix(m))
+        elif config.subcommand == "groups":
+            first, second = quotient_groups(m)
+            print(f"A1 = {first}", file=out)
+            print(f"A2 = {second}", file=out)
+            print(f"l = {m.rows - first.free_rank}", file=out)
+        elif config.subcommand == "snf":
+            if max(m.shape) > _SNF_MAX_DIM:
+                limit = f"at most {_SNF_MAX_DIM} rows and {_SNF_MAX_DIM} columns"
+                print(f"hlk snf: error: the matrix is {m.rows} x {m.cols}; snf takes {limit}", file=err)
+                return EXIT_PARSE
+            # Format all three blocks before writing, so a failure leaves stdout empty.
+            r = smith_normal_form(m)
+            blocks = (("D", r.d), ("U", r.u), ("V", r.v))
+            out.write("".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks))
+        else:
+            print(f"hlk: error: unknown subcommand {config.subcommand!r}", file=err)
+            return EXIT_USAGE
+    finally:
+        if set_digits:
+            set_digits(previous)
     return EXIT_OK
 
 

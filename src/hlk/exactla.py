@@ -137,7 +137,10 @@ class IntMatrix:
         return IntMatrix.from_rows(out, cols=n)
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+        # Rows are cut from the entries, so a width-zero matrix costs nothing
+        # however many rows it has.
+        n, e = self.cols, self.entries
+        body = "; ".join(" ".join(map(str, e[k : k + n])) for k in range(0, len(e), n or 1))
         return f"IntMatrix({self.rows}x{self.cols} [{body}])"
 
 
@@ -156,26 +159,24 @@ class SNFResult:
 
 
 # ---------------------------------------------------------------------------
-# Elementary row/column operations on list-of-lists working copies.  Row
-# helpers apply the operation to every matrix in `rows`, column helpers to
-# every matrix in `cols`.  Both lists start with the working matrix; any
-# further members are transform accumulators kept in sync with it.
+# Working copies are lists of row lists.  The chain repair's helpers apply
+# each row step to every matrix in `rows` and each column step to every
+# matrix in `cols`; both lists start with the working matrix, and any further
+# members are transforms kept in sync with it.
 
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _swap_rows(rows, i, j):
-    for m in rows:
-        m[i], m[j] = m[j], m[i]
+def _transpose(a):
+    return [list(c) for c in zip(*a)]
 
 
-def _add_row(rows, src, dst, k):
-    for m in rows:
-        ms, md = m[src], m[dst]
-        for idx, x in enumerate(ms):
-            if x:
-                md[idx] += k * x
+def _add_row(a, src, dst, k):
+    ms, md = a[src], a[dst]
+    for idx, x in enumerate(ms):
+        if x:
+            md[idx] += k * x
 
 
 def _negate_row(rows, i):
@@ -189,20 +190,6 @@ def _mix_rows(rows, i, p, q, r, s):
         x, y = m[i], m[i + 1]
         m[i] = [p * a + q * b for a, b in zip(x, y)]
         m[i + 1] = [r * a + s * b for a, b in zip(x, y)]
-
-
-def _swap_cols(cols, i, j):
-    for m in cols:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-
-def _add_col(cols, src, dst, k):
-    for m in cols:
-        for row in m:
-            x = row[src]
-            if x:
-                row[dst] += k * x
 
 
 def _mix_cols(cols, i, p, q, r, s):
@@ -236,8 +223,8 @@ def _min_abs_entry(a, t, m, n):
     return None if best is None else (bi, bj)
 
 
-def _diagonalize(rows, cols):
-    """Staircase reduction of the working matrix ``rows[0]`` to diagonal form.
+def _diagonalize(a):
+    """Staircase reduction of ``a`` to diagonal form, recording no transforms.
 
     At each step the nonzero entry of least magnitude is moved to the
     pivot position and its row and column are cleared by Euclidean
@@ -245,7 +232,6 @@ def _diagonalize(rows, cols):
     pivot and is swapped in as the new pivot, so each step terminates.
     Returns the number of pivots, which is the rank.
     """
-    a = rows[0]
     m = len(a)
     n = len(a[0]) if m else 0
     t = 0
@@ -254,10 +240,10 @@ def _diagonalize(rows, cols):
         if pivot is None:
             return t
         pi, pj = pivot
-        if pi != t:
-            _swap_rows(rows, t, pi)
+        a[t], a[pi] = a[pi], a[t]
         if pj != t:
-            _swap_cols(cols, t, pj)
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
         while True:
             p = a[t][t]
             improved = False
@@ -266,21 +252,22 @@ def _diagonalize(rows, cols):
                 if x:
                     q = x // p
                     if q:
-                        _add_row(rows, t, i, -q)
+                        _add_row(a, t, i, -q)
                     if a[i][t]:
-                        _swap_rows(rows, t, i)
+                        a[t], a[i] = a[i], a[t]
                         improved = True
                         break
             if improved:
                 continue
+            # Column t is now zero outside row t, so subtracting multiples of
+            # it changes only row t.
+            row = a[t]
             for j in range(t + 1, n):
-                x = a[t][j]
-                if x:
-                    q = x // p
-                    if q:
-                        _add_col(cols, t, j, -q)
-                    if a[t][j]:
-                        _swap_cols(cols, t, j)
+                if row[j]:
+                    row[j] %= p
+                    if row[j]:
+                        for r in a:
+                            r[t], r[j] = r[j], r[t]
                         improved = True
                         break
             if improved:
@@ -289,15 +276,105 @@ def _diagonalize(rows, cols):
         t += 1
 
 
-def _reduce(rows, cols) -> list[int]:
-    """Reduce the working matrix ``rows[0]`` (also ``cols[0]``) to Smith form.
+def _reduce_row(row, basis, leads, start):
+    """``row`` with its entries at the pivots ``basis[start:]`` taken into [0, pivot)."""
+    for b, c in zip(basis[start:], leads[start:]):
+        q = row[c] // b[c]
+        if q:
+            row = [x - q * y for x, y in zip(row, b)]
+    return row
 
-    Diagonalizes, repairs the divisibility chain and makes the divisors
-    positive, applying each row operation to every matrix in ``rows`` and
-    each column operation to every matrix in ``cols``.  Returns the chain.
+
+def _hermite(a, w):
+    """Row Hermite form of ``a``, with the same row operations applied to ``w``.
+
+    Kannan-Bachem row insertion: each row, carried together with its row of
+    ``w``, is inserted into an echelon basis that is kept fully reduced, with
+    every pivot positive and every entry above a pivot in [0, pivot).  The
+    incoming row is reduced the same way after each step, so no entry grows
+    beyond a polynomial bound.  Returns the new ``(a, w)``: the basis rows in
+    pivot order, then the rows whose ``a`` part became zero.
     """
-    a = rows[0]
-    r = _diagonalize(rows, cols)
+    n = len(a[0]) if a else 0
+    basis, leads, kernel = [], [], []
+    for row in (x + y for x, y in zip(a, w)):
+        i = 0
+        while True:
+            start = leads[i - 1] + 1 if i else 0
+            lead = next((j for j in range(start, n) if row[j]), n)
+            if lead == n:
+                kernel.append(row)
+                break
+            if i == len(basis) or lead < leads[i]:
+                if row[lead] < 0:
+                    row = [-x for x in row]
+                basis.insert(i, _reduce_row(row, basis, leads, i))
+                leads.insert(i, lead)
+                for k in range(i):
+                    basis[k] = _reduce_row(basis[k], basis, leads, i)
+                break
+            if lead == leads[i]:
+                pivot = basis[i]
+                p, x = pivot[lead], row[lead]
+                if x % p:
+                    # One determinant-1 step [[s, t], [-x/g, p/g]] with
+                    # g = s*p + t*x = gcd(p, x) makes g the pivot and clears x.
+                    g = math.gcd(p, x)
+                    pg, xg = p // g, x // g
+                    t = pow(xg, -1, pg)
+                    s = (g - t * x) // p
+                    basis[i] = _reduce_row(
+                        [s * y + t * z for y, z in zip(pivot, row)], basis, leads, i + 1
+                    )
+                    row = [pg * z - xg * y for y, z in zip(pivot, row)]
+                    for k in range(i):
+                        basis[k] = _reduce_row(basis[k], basis, leads, i)
+                else:
+                    q = x // p
+                    row = [z - q * y for y, z in zip(pivot, row)]
+                row = _reduce_row(row, basis, leads, i + 1)
+            i += 1
+    rows = basis + kernel
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
+def _diagonalize_certified(a, u, v):
+    """Diagonalize ``a`` in place by alternating row and column Hermite forms.
+
+    The row form acts on ``(a, u)``; the column form is the row form of the
+    transposes ``(a^T, v^T)``.  Each pass keeps ``u @ input @ v == a``, and
+    the alternation ends once ``a`` is diagonal, with its nonzero entries
+    first.  Returns their number, the rank.
+    """
+    x, y, z = a, u, v
+    flipped = False
+    while True:
+        x, y = _hermite(x, y)
+        if all(e == 0 for i, row in enumerate(x) for j, e in enumerate(row) if i != j):
+            break
+        x, y, z = _transpose(x), _transpose(z), _transpose(y)
+        flipped = not flipped
+    if flipped:
+        x, y, z = _transpose(x), _transpose(z), _transpose(y)
+    a[:], u[:], v[:] = x, y, z
+    return sum(1 for i in range(min(len(a), len(a[0]) if a else 0)) if a[i][i])
+
+
+def _reduce(a, u=None, v=None) -> list[int]:
+    """Reduce ``a`` in place to Smith form and return the divisor chain.
+
+    With transforms ``u`` and ``v`` (updated in place, so that
+    ``u @ input @ v == a`` throughout), the diagonal comes from alternating
+    Hermite forms, whose entries stay polynomially bounded.  Without them it
+    comes from the cheaper min-abs staircase.  Both then share the chain
+    repair and the sign fix.
+    """
+    if u is None:
+        r = _diagonalize(a)
+        rows = cols = [a]
+    else:
+        r = _diagonalize_certified(a, u, v)
+        rows, cols = [a, u], [a, v]
 
     # Repair the chain: a violating pair (x, y) becomes (g, xy/g) with
     # g = gcd(x, y) = s*x + t*y, by one row and one column step, each of
@@ -336,7 +413,7 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     a = m.to_rows()
     u = _identity_rows(m.rows)
     v = _identity_rows(m.cols)
-    divisors = _reduce([a, u], [a, v])
+    divisors = _reduce(a, u, v)
     return SNFResult(
         d=IntMatrix.from_rows(a, cols=m.cols),
         u=IntMatrix.from_rows(u, cols=m.rows),
@@ -350,8 +427,7 @@ def elementary_divisors(m: IntMatrix) -> list[int]:
     if not m.entries:
         # to_rows would build one empty list per row of an m x 0 matrix.
         return []
-    a = m.to_rows()
-    return _reduce([a], [a])
+    return _reduce(m.to_rows())
 
 
 def rank(m: IntMatrix) -> int:

@@ -1,4 +1,6 @@
 import io
+import math
+import sys
 import time
 
 import pytest
@@ -19,6 +21,7 @@ from hlk.cli import (
 )
 from hlk.exactla import IntMatrix, SplitMix64, format_matrix, parse_matrix
 
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 WORKED_TEXT = "matrix 3 4\n-1 -1 0 2\n1 -3 -2 0\n0 0 2 -2\n"
 
 
@@ -208,6 +211,36 @@ class TestSnfCommand:
         assert out.getvalue() == ""
 
 
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit here")
+class TestLongResults:
+    # Each entry has 3,000 digits, within the parser's limit; the second
+    # divisor has about 6,000, beyond the limit Python applies to str(int).
+    X = int("7" + "1" * 2999)
+    Y = int("3" * 3000)
+    TEXT = f"matrix 2 2\n{X} 0\n0 {Y}\n"
+
+    @pytest.mark.parametrize("subcommand", ["invariant", "groups", "snf"])
+    def test_results_beyond_the_digit_limit_print_exactly(self, subcommand):
+        code, out, err = run_config(CliConfig(subcommand), self.TEXT)
+        assert sys.get_int_max_str_digits() == INT_DIGIT_LIMIT
+        assert (code, err) == (EXIT_OK, "")
+        # The chain is (g, XY/g) with g = gcd(X, Y).
+        g = math.gcd(self.X, self.Y)
+        sys.set_int_max_str_digits(0)
+        try:
+            last = str(self.X * self.Y // g)
+        finally:
+            sys.set_int_max_str_digits(INT_DIGIT_LIMIT)
+        assert len(last) > INT_DIGIT_LIMIT
+        groups = f"Z^0 (+) Z/{g} (+) Z/{last}"
+        expected = {
+            "invariant": f"Lk = {{{g}, {last}}}\n",
+            "groups": f"A1 = {groups}\nA2 = {groups}\nl = 2\n",
+            "snf": f"# D\nmatrix 2 2\n{g} 0\n0 {last}\n# U\n",
+        }[subcommand]
+        assert out.startswith(expected)
+
+
 class TestSelftestCommand:
     def test_passes(self, capsys):
         assert main(["selftest", "--trials", "25", "--seed", "5"]) == EXIT_OK
@@ -338,7 +371,7 @@ class TestInputLayer:
         assert "neither a diagram nor a matrix file" in err
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["invariant", "groups", "matrix"]), TEXTS)
+    @given(st.sampled_from(["invariant", "groups", "matrix", "snf"]), TEXTS)
     def test_any_text_ends_in_a_documented_exit_code(self, subcommand, text):
         code, out, err = run_config(CliConfig(subcommand), text)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_INVALID)

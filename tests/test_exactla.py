@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,13 @@ class TestIntMatrix:
 
     def test_repr(self):
         assert repr(IntMatrix.from_rows([[1, -2]])) == "IntMatrix(1x2 [1 -2])"
+        assert repr(IntMatrix.from_rows([[1], [2]])) == "IntMatrix(2x1 [1; 2])"
+        assert repr(IntMatrix.zeros(0, 3)) == "IntMatrix(0x3 [])"
+
+    def test_repr_of_width_zero_is_instant(self):
+        start = time.perf_counter()
+        assert repr(IntMatrix.zeros(10**12, 0)) == "IntMatrix(1000000000000x0 [])"
+        assert time.perf_counter() - start < 1
 
 
 # --- Smith normal form -----------------------------------------------------
@@ -215,6 +223,88 @@ class TestDivisorsOnlyPath:
             out = io.StringIO()
             code = cli.run(cli.CliConfig(subcommand, path), out=out, err=io.StringIO())
             assert (code, out.getvalue()) == (cli.EXIT_OK, expected)
+
+
+def splitmix_matrix(seed, m, n, bound):
+    """Row-major draws ``below(2 * bound + 1) - bound`` from SplitMix64(seed)."""
+    rng = SplitMix64(seed)
+    return IntMatrix.from_rows(
+        [[rng.below(2 * bound + 1) - bound for _ in range(n)] for _ in range(m)], cols=n
+    )
+
+
+def hadamard_bits(m):
+    """log2 of the Hadamard bound on the maximal minors of ``m``."""
+    def log_norms(rows):
+        return math.log2(math.prod(max(1, sum(x * x for x in r)) for r in rows)) / 2
+
+    rows = m.to_rows()
+    return min(log_norms(rows), log_norms(zip(*rows)))
+
+
+class TestCertifiedPath:
+    """smith_normal_form (alternating Hermite forms) against elementary_divisors
+    (min-abs staircase): two independent diagonalizations."""
+
+    @staticmethod
+    def cases():
+        rng = SplitMix64(2024)
+
+        def draw(m, n, bound):
+            return [[rng.below(2 * bound + 1) - bound for _ in range(n)] for _ in range(m)]
+
+        for _ in range(150):
+            m, k, n = 1 + rng.below(12), 1 + rng.below(4), 1 + rng.below(12)
+            a = IntMatrix.from_rows(draw(m, k, 6), cols=k)
+            b = IntMatrix.from_rows(draw(k, n, 6), cols=n)
+            rows = (a @ b).to_rows()
+            # Zero one row and one column of some products.
+            if rng.below(2):
+                rows[rng.below(m)] = [0] * n
+                j = rng.below(n)
+                for row in rows:
+                    row[j] = 0
+            yield IntMatrix.from_rows(rows, cols=n)
+        for n in range(1, 13):
+            yield IntMatrix.from_rows(draw(1, n, 40), cols=n)
+            yield IntMatrix.from_rows(draw(n, 1, 40), cols=1)
+            yield IntMatrix.from_rows([[0] * n, draw(1, n, 40)[0]], cols=n)
+            yield IntMatrix.zeros(n, 13 - n)
+
+    def test_agrees_with_elementary_divisors(self):
+        count = 0
+        for m in self.cases():
+            r = smith_normal_form(m)
+            assert_sound_snf(m, r)
+            assert list(r.divisors) == elementary_divisors(m), m
+            count += 1
+        assert count == 198
+
+    @pytest.mark.parametrize(
+        "seed, rows, cols, bound",
+        [
+            (921, 20, 20, 100), (926, 25, 25, 100), (931, 30, 30, 1), (936, 35, 35, 1),
+            (931, 30, 30, 100), (941, 40, 40, 1), (951, 20, 30, 100), (951, 30, 20, 100),
+            (936, 35, 35, 100), (961, 60, 60, 100),
+        ],
+    )
+    def test_transforms_stay_near_the_hadamard_bound(self, seed, rows, cols, bound):
+        m = splitmix_matrix(seed, rows, cols, bound)
+        r = smith_normal_form(m)
+        assert r.u @ m @ r.v == r.d
+        bits = max(abs(x).bit_length() for x in r.u.entries + r.v.entries)
+        # The worst of these measured 4.2x (20x30, with 10 kernel columns in V).
+        assert bits <= 8 * hadamard_bits(m)
+
+    @pytest.mark.parametrize("seed, n", [(936, 35), (961, 60)])
+    def test_snf_of_large_dense_matrices_is_fast(self, seed, n):
+        text = format_matrix(splitmix_matrix(seed, n, n, 100))
+        out = io.StringIO()
+        start = time.perf_counter()
+        code = cli.run(cli.CliConfig("snf"), stdin=io.StringIO(text), out=out, err=io.StringIO())
+        assert time.perf_counter() - start < 2
+        assert code == cli.EXIT_OK
+        assert out.getvalue().startswith(f"# D\nmatrix {n} {n}\n")
 
 
 # --- determinant -----------------------------------------------------------
