@@ -19,7 +19,7 @@ from .diagram import (
 )
 from .exactla import (
     MatrixParseError,
-    _significant_lines,
+    _tokens,
     format_matrix,
     parse_matrix,
     smith_normal_form,
@@ -103,12 +103,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def detect_format(text: str) -> str | None:
     """``'diagram'`` or ``'matrix'`` by the first significant token, else None.
 
-    Reads only up to the first line that is not blank or a comment, with
-    the tokens split exactly as both parsers split them.
+    Reads only up to the first line that is not blank or a comment, with the
+    tokens split as both parsers split them, in a prefix that doubles until
+    a line break follows that line or the prefix is the whole text.
     """
-    for _, tokens in _significant_lines(text):
-        return {"component": "diagram", "matrix": "matrix"}.get(tokens[0])
-    return None
+    size = 64
+    while True:
+        lines = text[:size].splitlines()
+        whole = size >= len(text)
+        tokens = next(filter(None, map(_tokens, lines if whole else lines[:-1])), None)
+        if tokens or whole:
+            return tokens and {"component": "diagram", "matrix": "matrix"}.get(tokens[0])
+        size *= 2
 
 
 def run(config: CliConfig, stdin=None, out=None, err=None) -> int:

@@ -14,11 +14,12 @@ The loops of a component are its first-homology basis circles; their
 declaration order fixes the row/column order of the linking matrix.
 """
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .exactla import IntMatrix, _ParseError, _significant_lines
+from .exactla import IntMatrix, _ParseError, _tokens
 
 __all__ = [
     "Loop",
@@ -98,51 +99,87 @@ class Diagram:
 
 
 def parse_diagram(text: str) -> Diagram:
-    """Parse diagram text; raises DiagramParseError with a line number."""
-    component_names: list[str] = []
-    loops: list[Loop] = []
-    sums: dict[tuple[str, str], int] = {}
-    declared: set[str] = set()
+    """Parse diagram text; raises DiagramParseError with a line number.
 
-    for lineno, tokens in _significant_lines(text):
-        keyword = tokens[0]
-
-        if keyword == "crossing":
-            if len(tokens) != 4:
-                raise DiagramParseError("expected 'crossing <over> <under> <sign>'", line=lineno)
-            sign = _SIGNS.get(tokens[3])
-            if sign is None:
-                raise DiagramParseError(f"sign must be '+' or '-', got {tokens[3]!r}", line=lineno)
-            pair = (tokens[1], tokens[2])
-            for name in pair:
-                if name not in declared:
-                    raise DiagramParseError(f"crossing references unknown loop {name!r}", line=lineno)
-            sums[pair] = sums.get(pair, 0) + sign
-        elif keyword == "component":
-            if len(tokens) != 2:
-                raise DiagramParseError("expected 'component <name>'", line=lineno)
-            if len(component_names) == 2:
-                raise DiagramParseError("more than two components", line=lineno)
-            component_names.append(tokens[1])
-        elif keyword == "loop":
-            if len(tokens) != 2:
-                raise DiagramParseError("expected 'loop <id>'", line=lineno)
-            if not component_names:
-                raise DiagramParseError("loop declared before any component", line=lineno)
-            name = tokens[1]
-            if name in declared:
-                raise DiagramParseError(f"duplicate loop id {name!r}", line=lineno)
-            declared.add(name)
-            loops.append(Loop(name, len(component_names) - 1))
-        else:
-            raise DiagramParseError(f"unknown directive {keyword!r}", line=lineno)
+    A repeated component or loop line acts again later: a loop line fails at
+    its second occurrence, a component line by its third.  Then those two are
+    made distinct lines (``_tokens`` strips the added line breaks) and the
+    lines tallied again, so errors keep their line numbers.
+    """
+    lines = text.splitlines()
+    repeated: set[str] = set()
+    try:
+        parts = _tally(lines, repeated)
+    except DiagramParseError:
+        if not repeated:
+            raise
+    if repeated:
+        seen: Counter[str] = Counter()
+        for i, line in enumerate(lines):
+            if line in repeated:
+                lines[i] = line + "\n" * min(seen[line], 2)
+                seen[line] += 1
+        parts = _tally(lines, set())
 
     # Duplicate and unknown loop ids were caught above with their line; the
     # constructor states the end-of-input rules (two components, none empty).
     try:
-        return Diagram(tuple(component_names), tuple(loops), sums)
+        return Diagram(*parts)
     except ValueError as exc:
         raise DiagramParseError(str(exc)) from None
+
+
+def _tally(lines: list[str], repeated: set[str]) -> tuple[tuple[str, ...], tuple[Loop, ...], dict]:
+    """Names, loops and sums, checking each distinct line at its first occurrence.
+
+    A crossing adds its sign times its count: its repeats are valid when it is,
+    as the declared loops only grow.  Repeated component and loop lines go into
+    ``repeated``.
+    """
+    component_names: list[str] = []
+    loops: list[Loop] = []
+    sums: dict[tuple[str, str], int] = {}
+    declared: set[str] = set()
+    try:
+        for raw, count in Counter(lines).items():
+            if not (tokens := _tokens(raw)):
+                continue
+            keyword = tokens[0]
+            if count > 1 and keyword in ("component", "loop"):
+                repeated.add(raw)
+
+            if keyword == "crossing":
+                if len(tokens) != 4:
+                    raise DiagramParseError("expected 'crossing <over> <under> <sign>'")
+                sign = _SIGNS.get(tokens[3])
+                if sign is None:
+                    raise DiagramParseError(f"sign must be '+' or '-', got {tokens[3]!r}")
+                pair = (tokens[1], tokens[2])
+                for name in pair:
+                    if name not in declared:
+                        raise DiagramParseError(f"crossing references unknown loop {name!r}")
+                sums[pair] = sums.get(pair, 0) + sign * count
+            elif keyword == "component":
+                if len(tokens) != 2:
+                    raise DiagramParseError("expected 'component <name>'")
+                if len(component_names) == 2:
+                    raise DiagramParseError("more than two components")
+                component_names.append(tokens[1])
+            elif keyword == "loop":
+                if len(tokens) != 2:
+                    raise DiagramParseError("expected 'loop <id>'")
+                if not component_names:
+                    raise DiagramParseError("loop declared before any component")
+                name = tokens[1]
+                if name in declared:
+                    raise DiagramParseError(f"duplicate loop id {name!r}")
+                declared.add(name)
+                loops.append(Loop(name, len(component_names) - 1))
+            else:
+                raise DiagramParseError(f"unknown directive {keyword!r}")
+    except DiagramParseError as exc:
+        raise DiagramParseError(str(exc), line=lines.index(raw) + 1) from None
+    return tuple(component_names), tuple(loops), sums
 
 
 def _linking(sums: dict, a: str, b: str, entry: tuple[int, int] | None = None) -> int:

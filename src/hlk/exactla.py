@@ -626,15 +626,21 @@ def apply_slide(
 _INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 
 
+def _tokens(line: str) -> list[str] | None:
+    """The tokens of one line, or None if it is blank or a comment."""
+    stripped = line.strip()
+    if stripped and not stripped.startswith("#"):
+        tokens = stripped.split(" ")
+        # Only a run of spaces leaves empty tokens, so most lines skip the filter.
+        return [t for t in tokens if t] if "" in tokens else tokens
+    return None
+
+
 def _significant_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(line number, tokens)`` of each line that is not blank or a comment, lazily."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            tokens = stripped.split(" ")
-            # Only a run of spaces leaves empty tokens. Skipping the filter on
-            # other lines takes about a fifth off the `diagrams` benchmark's p90.
-            yield lineno, [t for t in tokens if t] if "" in tokens else tokens
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if tokens := _tokens(line):
+            yield lineno, tokens
 
 
 def _integers(tokens: list[str], lineno: int, what: str) -> list[int]:

@@ -19,7 +19,7 @@ from hlk.cli import (
     main,
     run,
 )
-from hlk.exactla import IntMatrix, SplitMix64, format_matrix, parse_matrix
+from hlk.exactla import IntMatrix, SplitMix64, _significant_lines, format_matrix, parse_matrix
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 WORKED_TEXT = "matrix 3 4\n-1 -1 0 2\n1 -3 -2 0\n0 0 2 -2\n"
@@ -53,6 +53,44 @@ class TestDetectFormat:
         assert detect_format("knot 3 1\n") is None
         assert detect_format("") is None
         assert detect_format("# only comments\n") is None
+
+    @staticmethod
+    def full_text_sniff(text):
+        for _, tokens in _significant_lines(text):
+            return {"component": "diagram", "matrix": "matrix"}.get(tokens[0])
+        return None
+
+    @pytest.mark.parametrize("body", ["component h", "componentx", "matrix 1 1", "#matrix\nmatrix"])
+    @pytest.mark.parametrize("filler", ["\n", " ", "#\r\n", "\x0b", "\u2028", "#\u3000"])
+    def test_first_line_across_every_prefix_boundary(self, body, filler):
+        for repeat in range(300 // len(filler)):
+            text = filler * repeat + body
+            assert detect_format(text) == self.full_text_sniff(text), repr(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet=" \t\u3000\r\n\x0b\u2028#ab", max_size=40),
+                st.sampled_from(["component", "matrix", "\r\n"]),
+            ),
+            max_size=20,
+        ).map("".join)
+    )
+    def test_matches_the_full_text_scanner(self, text):
+        assert detect_format(text) == self.full_text_sniff(text)
+
+    def test_reads_a_prefix_only(self):
+        stops = []
+
+        class Recording(str):
+            def __getitem__(self, key):
+                stops.append(key.stop)
+                return str.__getitem__(self, key)
+
+        text = Recording("# note\ncomponent h1\n" + "crossing a b +\n" * 100_000)
+        assert detect_format(text) == "diagram"
+        assert stops and max(stops) < 100
 
 
 class TestInvariantCommand:

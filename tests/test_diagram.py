@@ -1,7 +1,10 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hlk.diagram as diagram
 from hlk.diagram import (
     Diagram,
     DiagramParseError,
@@ -12,7 +15,7 @@ from hlk.diagram import (
     merge_loops,
     parse_diagram,
 )
-from hlk.exactla import IntMatrix, SplitMix64
+from hlk.exactla import IntMatrix, SplitMix64, _significant_lines
 
 MINIMAL = "component h1\nloop a\ncomponent h2\nloop b\ncrossing a b +\ncrossing b a +"
 
@@ -61,6 +64,102 @@ def random_diagram(rng: SplitMix64) -> tuple[str, list[str], list[str], list[tup
     return diagram_text(first, second, crossings), first, second, crossings
 
 
+def sequential_parse(text: str) -> Diagram:
+    """The line-by-line parser, kept as an oracle: the checks run on every
+    significant line in file order."""
+    component_names, loops, sums, declared = [], [], {}, set()
+    for lineno, tokens in _significant_lines(text):
+        keyword = tokens[0]
+        if keyword == "crossing":
+            if len(tokens) != 4:
+                raise DiagramParseError("expected 'crossing <over> <under> <sign>'", line=lineno)
+            sign = {"+": 1, "-": -1}.get(tokens[3])
+            if sign is None:
+                raise DiagramParseError(f"sign must be '+' or '-', got {tokens[3]!r}", line=lineno)
+            pair = (tokens[1], tokens[2])
+            for name in pair:
+                if name not in declared:
+                    raise DiagramParseError(f"crossing references unknown loop {name!r}", line=lineno)
+            sums[pair] = sums.get(pair, 0) + sign
+        elif keyword == "component":
+            if len(tokens) != 2:
+                raise DiagramParseError("expected 'component <name>'", line=lineno)
+            if len(component_names) == 2:
+                raise DiagramParseError("more than two components", line=lineno)
+            component_names.append(tokens[1])
+        elif keyword == "loop":
+            if len(tokens) != 2:
+                raise DiagramParseError("expected 'loop <id>'", line=lineno)
+            if not component_names:
+                raise DiagramParseError("loop declared before any component", line=lineno)
+            name = tokens[1]
+            if name in declared:
+                raise DiagramParseError(f"duplicate loop id {name!r}", line=lineno)
+            declared.add(name)
+            loops.append(Loop(name, len(component_names) - 1))
+        else:
+            raise DiagramParseError(f"unknown directive {keyword!r}", line=lineno)
+    try:
+        return Diagram(tuple(component_names), tuple(loops), sums)
+    except ValueError as exc:
+        raise DiagramParseError(str(exc)) from None
+
+
+def outcome(parse, text: str) -> tuple:
+    """The parsed diagram's names, loops and sums, or the error's message and line."""
+    try:
+        d = parse(text)
+    except DiagramParseError as exc:
+        return "error", str(exc), exc.line
+    return "diagram", d.component_names, d.loops, dict(d.crossing_sums)
+
+
+# Lines that repeat, clash or differ only in spacing, and every kind of line break.
+LINES = [
+    "component h1", "component h2", "component  h1", "component h1 x", "component",
+    "loop a", "loop  a", "loop a ", "loop b", "loop c", "loop", "loop a b", "component h1\t",
+    "crossing a b +", "crossing  a b +", "crossing b a -", "crossing a c +",
+    "crossing c c -", "crossing a b *", "crossing a", "crossing a zz +",
+    "knot x", "# c", "#", "", "  ",
+]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+HEADS = [
+    "",
+    "component h1\nloop a\ncomponent h2\nloop b\n",
+    "component h\nloop a\ncomponent h\nloop b\nloop c\n",
+]
+
+
+def repeating_text(rng: SplitMix64) -> str:
+    """A mostly valid diagram whose crossing lines repeat, with a few lines
+    moved or added so that some crossings precede their loops and some
+    component, loop, junk or comment lines repeat."""
+    names = ["a", "b", "c", "d"]
+    split = 1 + rng.below(3)
+    lines = ["component " + ["h1", "h"][rng.below(2)], *(f"loop {n}" for n in names[:split])]
+    lines += ["component " + ["h2", "h", "h1", " h"][rng.below(4)], *(f"loop {n}" for n in names[split:])]
+    for _ in range(rng.below(40)):
+        lines.append(f"crossing {names[rng.below(4)]} {names[rng.below(3)]} {'+-'[rng.below(2)]}")
+    for _ in range(rng.below(3)):
+        lines.insert(rng.below(len(lines) + 1), LINES[rng.below(len(LINES))])
+    for _ in range(rng.below(3)):
+        i, j = rng.below(len(lines)), rng.below(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "".join(line + BREAKS[rng.below(len(BREAKS))] for line in lines)
+
+
+def count_tokenizer_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    tokens = diagram._tokens
+
+    def counting(line):
+        calls[0] += 1
+        return tokens(line)
+
+    monkeypatch.setattr(diagram, "_tokens", counting)
+    return calls
+
+
 # --- parsing ---------------------------------------------------------------
 
 
@@ -106,6 +205,8 @@ class TestParseDiagram:
             ("component h1\nloop a\ncrossing a a *\n", 3),
             ("component h1\nloop a\ncrossing a zz +\n", 3),
             ("component h1\nknot a\n", 2),
+            # The third component line repeats the first; the second differs only in spacing.
+            ("component h\nloop a\ncomponent h \nloop b\ncomponent h\n", 5),
         ]
         for text, line in cases:
             with pytest.raises(DiagramParseError) as info:
@@ -132,6 +233,55 @@ class TestParseDiagram:
         with pytest.raises(DiagramParseError) as info:
             parse_diagram("component h1\nloop a\ncrossing a b +\ncomponent h2\nloop b\n")
         assert info.value.line == 3
+
+    def test_matches_the_line_by_line_parser(self):
+        parsed = 0
+        for seed in range(3_000):
+            text = repeating_text(SplitMix64(seed))
+            expected = outcome(sequential_parse, text)
+            assert outcome(parse_diagram, text) == expected, (seed, text)
+            parsed += expected[0] == "diagram"
+        assert 500 < parsed < 2_500
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(HEADS),
+        st.lists(st.tuples(st.sampled_from(LINES), st.sampled_from(BREAKS)), max_size=30),
+    )
+    def test_matches_the_line_by_line_parser_on_any_lines(self, head, lines):
+        text = head + "".join(line + brk for line, brk in lines)
+        assert outcome(parse_diagram, text) == outcome(sequential_parse, text)
+
+    def test_state_machine_runs_once_per_distinct_line(self, monkeypatch):
+        rng = SplitMix64(80)
+        names = ["e0", "e1", "f0", "f1"]
+        crossings = [
+            (names[rng.below(4)], names[rng.below(4)], 1 if rng.below(2) else -1)
+            for _ in range(80_000)
+        ]
+        text = diagram_text(names[:2], names[2:], crossings)
+        expected = outcome(sequential_parse, text)
+        calls = count_tokenizer_calls(monkeypatch)
+        assert outcome(parse_diagram, text) == expected
+        # 2 component, 4 loop and at most 32 distinct crossing lines.
+        assert calls[0] <= 38
+
+    @pytest.mark.parametrize(
+        "head, line",
+        [
+            ("", "component h"),
+            ("component h1\n", "loop a"),
+            ("component h1\nloop a\n", "knot"),
+            (MINIMAL + "\n", "# c"),
+        ],
+    )
+    def test_copies_of_a_line_are_checked_once(self, monkeypatch, head, line):
+        text = head + f"{line}\n" * 100_000
+        expected = outcome(sequential_parse, text)
+        calls = count_tokenizer_calls(monkeypatch)
+        assert outcome(parse_diagram, text) == expected
+        assert calls[0] <= 10
+        assert expected[0] == ("diagram" if line == "# c" else "error")
 
 
 class TestDiagramType:
