@@ -55,6 +55,8 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise TypeError(f"matrix dimensions must be ints, got {self.rows!r} x {self.cols!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows * self.cols:
@@ -62,6 +64,9 @@ class IntMatrix:
                 f"expected {self.rows * self.cols} entries for a "
                 f"{self.rows} x {self.cols} matrix, got {len(self.entries)}"
             )
+        if not set(map(type, self.entries)) <= {int}:
+            bad = next(x for x in self.entries if type(x) is not int)
+            raise TypeError(f"matrix entries must be ints, got {bad!r}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
@@ -159,10 +164,10 @@ class SNFResult:
 
 
 # ---------------------------------------------------------------------------
-# Working copies are lists of row lists.  The chain repair's helpers apply
-# each row step to every matrix in `rows` and each column step to every
-# matrix in `cols`; both lists start with the working matrix, and any further
-# members are transforms kept in sync with it.
+# Working copies are lists of row lists.  The certified path keeps one bordered
+# matrix B = [[A, U], [V, 0]], so that a step on A's rows also updates U and a
+# step on A's columns also updates V; B's transpose [[A^T, V^T], [U^T, 0]] has
+# the same layout.  The divisor-only path works on A alone.
 
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -179,25 +184,18 @@ def _add_row(a, src, dst, k):
             md[idx] += k * x
 
 
-def _negate_row(rows, i):
-    for m in rows:
-        m[i] = [-x for x in m[i]]
-
-
-def _mix_rows(rows, i, p, q, r, s):
+def _mix_rows(b, i, p, q, r, s):
     """Rows (i, i+1) become (p*row_i + q*row_i+1, r*row_i + s*row_i+1)."""
-    for m in rows:
-        x, y = m[i], m[i + 1]
-        m[i] = [p * a + q * b for a, b in zip(x, y)]
-        m[i + 1] = [r * a + s * b for a, b in zip(x, y)]
+    x, y = b[i], b[i + 1]
+    b[i] = [p * e + q * f for e, f in zip(x, y)]
+    b[i + 1] = [r * e + s * f for e, f in zip(x, y)]
 
 
-def _mix_cols(cols, i, p, q, r, s):
+def _mix_cols(b, i, p, q, r, s):
     """Columns (i, i+1) become (p*col_i + q*col_i+1, r*col_i + s*col_i+1)."""
-    for m in cols:
-        for row in m:
-            x, y = row[i], row[i + 1]
-            row[i], row[i + 1] = p * x + q * y, r * x + s * y
+    for row in b:
+        x, y = row[i], row[i + 1]
+        row[i], row[i + 1] = p * x + q * y, r * x + s * y
 
 
 def _min_abs_entry(a, t, m, n):
@@ -285,19 +283,18 @@ def _reduce_row(row, basis, leads, start):
     return row
 
 
-def _hermite(a, w):
-    """Row Hermite form of ``a``, with the same row operations applied to ``w``.
+def _hermite(rows, n):
+    """Row Hermite form of the first ``n`` columns of ``rows``; the rest ride along.
 
-    Kannan-Bachem row insertion: each row, carried together with its row of
-    ``w``, is inserted into an echelon basis that is kept fully reduced, with
-    every pivot positive and every entry above a pivot in [0, pivot).  The
-    incoming row is reduced the same way after each step, so no entry grows
-    beyond a polynomial bound.  Returns the new ``(a, w)``: the basis rows in
-    pivot order, then the rows whose ``a`` part became zero.
+    Kannan-Bachem row insertion: each row is inserted into an echelon basis
+    that is kept fully reduced, with every pivot positive and every entry
+    above a pivot in [0, pivot).  The incoming row is reduced the same way
+    after each step, so no entry grows beyond a polynomial bound.  Returns
+    the basis rows in pivot order, then the rows that became zero in their
+    first ``n`` columns.
     """
-    n = len(a[0]) if a else 0
     basis, leads, kernel = [], [], []
-    for row in (x + y for x, y in zip(a, w)):
+    for row in rows:
         i = 0
         while True:
             start = leads[i - 1] + 1 if i else 0
@@ -334,71 +331,55 @@ def _hermite(a, w):
                     row = [z - q * y for y, z in zip(pivot, row)]
                 row = _reduce_row(row, basis, leads, i + 1)
             i += 1
-    rows = basis + kernel
-    return [r[:n] for r in rows], [r[n:] for r in rows]
+    return basis + kernel
 
 
-def _diagonalize_certified(a, u, v):
-    """Diagonalize ``a`` in place by alternating row and column Hermite forms.
+def _diagonalize_certified(b, m, n):
+    """Diagonalize the m x n block A of ``b = [[A, U], [V, 0]]`` in place.
 
-    The row form acts on ``(a, u)``; the column form is the row form of the
-    transposes ``(a^T, v^T)``.  Each pass keeps ``u @ input @ v == a``, and
-    the alternation ends once ``a`` is diagonal, with its nonzero entries
-    first.  Returns their number, the rank.
+    Row Hermite forms of ``b[:m]`` alternate with those of the transpose's
+    first n rows, which are the column forms of A.  Each pass keeps
+    ``U @ input @ V == A``, and the alternation ends once A is diagonal, with
+    its nonzero entries first.  Returns their number, the rank.
     """
-    x, y, z = a, u, v
     flipped = False
     while True:
-        x, y = _hermite(x, y)
-        if all(e == 0 for i, row in enumerate(x) for j, e in enumerate(row) if i != j):
+        b[:m] = _hermite(b[:m], n)
+        if not any(row[j] for i, row in enumerate(b[:m]) for j in range(n) if i != j):
             break
-        x, y, z = _transpose(x), _transpose(z), _transpose(y)
-        flipped = not flipped
+        b[:] = _transpose(b)
+        m, n, flipped = n, m, not flipped
     if flipped:
-        x, y, z = _transpose(x), _transpose(z), _transpose(y)
-    a[:], u[:], v[:] = x, y, z
-    return sum(1 for i in range(min(len(a), len(a[0]) if a else 0)) if a[i][i])
+        b[:] = _transpose(b)
+    return sum(1 for i in range(min(m, n)) if b[i][i])
 
 
-def _reduce(a, u=None, v=None) -> list[int]:
-    """Reduce ``a`` in place to Smith form and return the divisor chain.
+def _chain(b, r):
+    """Make the first ``r`` diagonal entries of ``b`` a positive divisor chain and return it.
 
-    With transforms ``u`` and ``v`` (updated in place, so that
-    ``u @ input @ v == a`` throughout), the diagonal comes from alternating
-    Hermite forms, whose entries stay polynomially bounded.  Without them it
-    comes from the cheaper min-abs staircase.  Both then share the chain
-    repair and the sign fix.
+    A violating pair (x, y) becomes (g, xy/g) with g = gcd(x, y) = s*x + t*y,
+    by one row and one column step, each of determinant 1.  Each fix strictly
+    shrinks |d_i|, so the sweep settles.  s is the inverse of x/g modulo
+    k = |y/g|, taken nearest zero to keep a bordered ``b``'s U and V small.
     """
-    if u is None:
-        r = _diagonalize(a)
-        rows = cols = [a]
-    else:
-        r = _diagonalize_certified(a, u, v)
-        rows, cols = [a, u], [a, v]
-
-    # Repair the chain: a violating pair (x, y) becomes (g, xy/g) with
-    # g = gcd(x, y) = s*x + t*y, by one row and one column step, each of
-    # determinant 1.  Each fix strictly shrinks |d_i|, so the sweep settles.
-    # s is the inverse of x/g modulo k = |y/g|, taken nearest zero to keep
-    # the transforms small.
     changed = True
     while changed:
         changed = False
         for i in range(r - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
+            x, y = b[i][i], b[i + 1][i + 1]
             if y % x:
                 g = math.gcd(x, y)
                 k = abs(y // g)
                 s = (pow(x // g, -1, k) + k // 2) % k - k // 2
                 t = (g - s * x) // y
-                _mix_rows(rows, i, s, t, -y // g, x // g)
-                _mix_cols(cols, i, 1, 1, -t * y // g, s * x // g)
+                _mix_rows(b, i, s, t, -y // g, x // g)
+                _mix_cols(b, i, 1, 1, -t * y // g, s * x // g)
                 changed = True
 
     for i in range(r):
-        if a[i][i] < 0:
-            _negate_row(rows, i)
-    return [a[i][i] for i in range(r)]
+        if b[i][i] < 0:
+            b[i] = [-x for x in b[i]]
+    return [b[i][i] for i in range(r)]
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
@@ -410,14 +391,14 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     forming a divisibility chain.  Total and deterministic: the same input
     always yields the identical result, including ``u`` and ``v``.
     """
-    a = m.to_rows()
-    u = _identity_rows(m.rows)
-    v = _identity_rows(m.cols)
-    divisors = _reduce(a, u, v)
+    r, c = m.rows, m.cols
+    b = [a + u for a, u in zip(m.to_rows(), _identity_rows(r))]
+    b += [v + [0] * r for v in _identity_rows(c)]
+    divisors = _chain(b, _diagonalize_certified(b, r, c))
     return SNFResult(
-        d=IntMatrix.from_rows(a, cols=m.cols),
-        u=IntMatrix.from_rows(u, cols=m.rows),
-        v=IntMatrix.from_rows(v, cols=m.cols),
+        d=IntMatrix.from_rows([row[:c] for row in b[:r]], cols=c),
+        u=IntMatrix.from_rows([row[c:] for row in b[:r]], cols=r),
+        v=IntMatrix.from_rows([row[:c] for row in b[r:]], cols=c),
         divisors=tuple(divisors),
     )
 
@@ -427,7 +408,8 @@ def elementary_divisors(m: IntMatrix) -> list[int]:
     if not m.entries:
         # to_rows would build one empty list per row of an m x 0 matrix.
         return []
-    return _reduce(m.to_rows())
+    a = m.to_rows()
+    return _chain(a, _diagonalize(a))
 
 
 def rank(m: IntMatrix) -> int:

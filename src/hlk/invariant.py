@@ -35,6 +35,8 @@ class LkInvariant:
 
     def __post_init__(self):
         for d in self.divisors:
+            if type(d) is not int:
+                raise TypeError(f"divisors must be ints, got {d!r}")
             if d < 1:
                 raise ValueError(f"divisors must be positive, got {d}")
         for prev, cur in zip(self.divisors, self.divisors[1:]):
@@ -71,6 +73,8 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not {type(self.free_rank), *map(type, self.torsion)} <= {int}:
+            raise TypeError(f"rank and torsion must be ints, got {self.free_rank!r}, {self.torsion!r}")
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
         for t in self.torsion:

@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,32 @@ class TestSnfCommand:
         assert reduced == []
         code, out, _ = run_config(CliConfig("invariant"), "matrix 1000000000000 0\n")
         assert (code, out) == (EXIT_OK, "Lk = {0}\n")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                (Path(__file__).resolve().parents[1] / "fixtures" / "worked_example.mat").read_text(),
+                "# D\nmatrix 3 4\n1 0 0 0\n0 2 0 0\n0 0 4 0\n"
+                "# U\nmatrix 3 3\n-1 0 0\n0 0 1\n1 1 3\n"
+                "# V\nmatrix 4 4\n1 -1 1 2\n0 1 -1 0\n0 1 0 1\n0 0 0 1\n",
+            ),
+            (
+                # Rank 2, and the chain repair turns diag(3, 1) into diag(1, 3).
+                "matrix 3 5\n-3 3 -9 0 -9\n0 -1 4 -2 5\n-3 2 -5 -2 -4\n",
+                "# D\nmatrix 3 5\n1 0 0 0 0\n0 3 0 0 0\n0 0 0 0 0\n"
+                "# U\nmatrix 3 3\n0 -1 0\n1 0 0\n-1 -1 1\n"
+                "# V\nmatrix 5 5\n1 -1 1 -2 2\n1 0 4 -2 5\n0 0 1 0 0\n0 0 0 1 0\n0 0 0 0 1\n",
+            ),
+            ("matrix 2 0\n", "# D\nmatrix 2 0\n# U\nmatrix 2 2\n1 0\n0 1\n# V\nmatrix 0 0\n"),
+            ("matrix 0 2\n", "# D\nmatrix 0 2\n# U\nmatrix 0 0\n# V\nmatrix 2 2\n1 0\n0 1\n"),
+        ],
+        ids=["worked-example", "3x5-rank-2", "2x0", "0x2"],
+    )
+    def test_pinned_certificates(self, text, expected):
+        # U and V are deterministic; these texts were taken from an earlier
+        # release of the reduction, so a refactor must print them unchanged.
+        assert run_config(CliConfig("snf"), text) == (EXIT_OK, expected, "")
 
     def test_size_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cli, "_SNF_MAX_DIM", 3)

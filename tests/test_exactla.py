@@ -115,6 +115,14 @@ class TestIntMatrix:
         with pytest.raises(AttributeError):
             m.rows = 3
 
+    def test_values_must_be_ints(self):
+        for rows in ([[1.5, 3]], [[2.0, 4.0]], [[True, 2]], [[1, None]]):
+            with pytest.raises(TypeError, match="entries must be ints"):
+                IntMatrix.from_rows(rows)
+        for shape in ((2.0, 0), (0, True)):
+            with pytest.raises(TypeError, match="dimensions must be ints"):
+                IntMatrix(*shape, ())
+
     def test_repr(self):
         assert repr(IntMatrix.from_rows([[1, -2]])) == "IntMatrix(1x2 [1 -2])"
         assert repr(IntMatrix.from_rows([[1], [2]])) == "IntMatrix(2x1 [1; 2])"
@@ -201,12 +209,13 @@ class TestSmithNormalForm:
 class TestDivisorsOnlyPath:
     def test_no_caller_needs_the_certificate(self, monkeypatch, fixtures_dir):
         # Only smith_normal_form builds U and V; every divisor-only path must
-        # get its chain without it.
-        def refuse(m):
-            raise AssertionError("smith_normal_form called on a divisors-only path")
+        # get its chain without it or its Hermite forms.
+        def refuse(*args):
+            raise AssertionError("certified machinery entered on a divisors-only path")
 
         monkeypatch.setattr(exactla, "smith_normal_form", refuse)
         monkeypatch.setattr(cli, "smith_normal_form", refuse)
+        monkeypatch.setattr(exactla, "_hermite", refuse)
         m = parse_matrix((fixtures_dir / "worked_example.mat").read_text())
         assert elementary_divisors(m) == [1, 2, 4]
         assert rank(m) == 3

@@ -33,6 +33,9 @@ class TestLkInvariant:
         with pytest.raises(ValueError, match="chain"):
             LkInvariant((2, 3))
         LkInvariant((2, 2, 6))  # fine: 2 | 2 | 6
+        for divisors in ((1.5,), (2.0,), (True,), (1, "2")):
+            with pytest.raises(TypeError, match="ints"):
+                LkInvariant(divisors)
 
 
 class TestAbelianGroup:
@@ -52,6 +55,9 @@ class TestAbelianGroup:
         with pytest.raises(ValueError, match="chain"):
             AbelianGroup(0, (4, 2))
         AbelianGroup(0, (3,))  # a lone odd torsion coefficient is fine
+        for free_rank, torsion in ((0, (2.0,)), (1.0, ()), (True, ()), (0, (2, True))):
+            with pytest.raises(TypeError, match="ints"):
+                AbelianGroup(free_rank, torsion)
 
 
 class TestHandlebodyLinking:
