@@ -9,6 +9,7 @@ flag error, 2 parse error, 3 invalid diagram, 4 self-test failure.
 
 import argparse
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .diagram import (
@@ -18,6 +19,7 @@ from .diagram import (
     parse_diagram,
 )
 from .exactla import (
+    _INTEGERS,
     MatrixParseError,
     _tokens,
     format_matrix,
@@ -49,6 +51,15 @@ EXIT_SELFTEST = 4
 # entries costs O(m^2 + n^2); larger inputs are refused with EXIT_PARSE.
 _SNF_MAX_DIM = 2000
 
+# Each subcommand and its help text; all but selftest read one input file.
+_SUBCOMMANDS = {
+    "invariant": "print the linking invariant of a diagram or matrix file",
+    "matrix": "print the linking matrix of a diagram file",
+    "groups": "print the two quotient groups and the chain length",
+    "snf": "print the Smith normal form D with its transforms U and V",
+    "selftest": "run the randomized property suite",
+}
+
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -69,33 +80,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _flag_int(text: str) -> int:
+    """A flag's integer: one ASCII token ``[+-]?[0-9]+``, as in matrix files."""
+    if " " not in text and _INTEGERS.fullmatch(text):
+        with suppress(ValueError):  # int() refuses over 4,300 digits
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hlk",
-        description="Linking invariants of two-component handlebody-links.",
-    )
+    parser = _Parser(prog="hlk", description="Linking invariants of two-component handlebody-links.")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    for name, text in (
-        ("invariant", "print the linking invariant of a diagram or matrix file"),
-        ("matrix", "print the linking matrix of a diagram file"),
-        ("groups", "print the two quotient groups and the chain length"),
-        ("snf", "print the Smith normal form D with its transforms U and V"),
-    ):
+    for name, text in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=text, description=text)
-        cmd.add_argument(
-            "input_path",
-            metavar="path",
-            nargs="?",
-            default="-",
-            help="input file, or - for standard input (default)",
-        )
-    cmd = sub.add_parser(
-        "selftest",
-        help="run the randomized property suite",
-        description="Run the randomized property suite over the reduction and invariant code.",
-    )
-    cmd.add_argument("--trials", type=int, default=100, help="number of trials (default 100)")
-    cmd.add_argument("--seed", type=int, default=0, help="seed for the trial stream (default 0)")
+        if name != "selftest":
+            path_help = "input file, or - for standard input (default)"
+            cmd.add_argument("input_path", metavar="path", nargs="?", default="-", help=path_help)
+    cmd = sub.choices["selftest"]
+    cmd.description = "Run the randomized property suite over the reduction and invariant code."
+    cmd.add_argument("--trials", type=_flag_int, default=100, help="number of trials (default 100)")
+    cmd.add_argument("--seed", type=_flag_int, default=0, help="seed for the trial stream (default 0)")
     cmd.add_argument("--verbose", action="store_true", help="report every trial, not only failures")
     return parser
 
@@ -126,14 +130,19 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     stdin = sys.stdin if stdin is None else stdin
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    known = config.subcommand in _SUBCOMMANDS
+    prog = f"hlk {config.subcommand}" if known else "hlk"
 
+    def fail(code: int, message: object) -> int:
+        print(f"{prog}: error: {message}", file=err)
+        return code
+
+    if not known:
+        return fail(EXIT_USAGE, f"unknown subcommand {config.subcommand!r}")
     if config.subcommand == "selftest":
         if config.trials < 1:
-            print("hlk selftest: error: --trials must be at least 1", file=err)
-            return EXIT_USAGE
-        failures = run_selftest(
-            config.trials, config.seed, verbose=config.verbose, out=out, err=err
-        )
+            return fail(EXIT_USAGE, "--trials must be at least 1")
+        failures = run_selftest(config.trials, config.seed, verbose=config.verbose, out=out, err=err)
         return EXIT_SELFTEST if failures else EXIT_OK
 
     try:
@@ -143,23 +152,16 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
             with open(config.input_path, "r", encoding="utf-8") as handle:
                 text = handle.read()
     except OSError as exc:
-        print(f"hlk {config.subcommand}: error: {exc}", file=err)
-        return EXIT_USAGE
+        return fail(EXIT_USAGE, exc)
     except UnicodeDecodeError as exc:
-        print(f"hlk {config.subcommand}: error: input is not UTF-8: {exc}", file=err)
-        return EXIT_PARSE
+        return fail(EXIT_PARSE, f"input is not UTF-8: {exc}")
 
     kind = detect_format(text)
     if kind is None:
-        print(
-            f"hlk {config.subcommand}: error: input is neither a diagram nor a"
-            " matrix file (expected a 'component' or 'matrix' line first)",
-            file=err,
-        )
-        return EXIT_PARSE
+        expected = "expected a 'component' or 'matrix' line first"
+        return fail(EXIT_PARSE, f"input is neither a diagram nor a matrix file ({expected})")
     if config.subcommand == "matrix" and kind != "diagram":
-        print("hlk matrix: error: this subcommand takes a diagram file", file=err)
-        return EXIT_USAGE
+        return fail(EXIT_USAGE, "this subcommand takes a diagram file")
 
     try:
         if kind == "diagram":
@@ -167,11 +169,9 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
         else:
             m = parse_matrix(text)
     except (DiagramParseError, MatrixParseError) as exc:
-        print(f"hlk {config.subcommand}: error: {exc}", file=err)
-        return EXIT_PARSE
+        return fail(EXIT_PARSE, exc)
     except InvalidDiagramError as exc:
-        print(f"hlk {config.subcommand}: error: {exc}", file=err)
-        return EXIT_INVALID
+        return fail(EXIT_INVALID, exc)
 
     # Results are exact, so printing them lifts Python's int-to-str digit limit;
     # the parser above still refuses entries over it.  The caller's setting is
@@ -190,18 +190,14 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
             print(f"A1 = {first}", file=out)
             print(f"A2 = {second}", file=out)
             print(f"l = {m.rows - first.free_rank}", file=out)
-        elif config.subcommand == "snf":
+        else:  # snf
             if max(m.shape) > _SNF_MAX_DIM:
                 limit = f"at most {_SNF_MAX_DIM} rows and {_SNF_MAX_DIM} columns"
-                print(f"hlk snf: error: the matrix is {m.rows} x {m.cols}; snf takes {limit}", file=err)
-                return EXIT_PARSE
+                return fail(EXIT_PARSE, f"the matrix is {m.rows} x {m.cols}; snf takes {limit}")
             # Format all three blocks before writing, so a failure leaves stdout empty.
             r = smith_normal_form(m)
             blocks = (("D", r.d), ("U", r.u), ("V", r.v))
             out.write("".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks))
-        else:
-            print(f"hlk: error: unknown subcommand {config.subcommand!r}", file=err)
-            return EXIT_USAGE
     finally:
         if set_digits:
             set_digits(previous)

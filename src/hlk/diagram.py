@@ -101,25 +101,22 @@ class Diagram:
 def parse_diagram(text: str) -> Diagram:
     """Parse diagram text; raises DiagramParseError with a line number.
 
-    A repeated component or loop line acts again later: a loop line fails at
-    its second occurrence, a component line by its third.  Then those two are
-    made distinct lines (``_tokens`` strips the added line breaks) and the
-    lines tallied again, so errors keep their line numbers.
+    Each copy of a component or loop line acts, so ``_tally`` returns None at
+    a repeated one.  Then the second copy of each such line gets one added
+    line break and the later copies two (``_tokens`` strips them), and the
+    lines are tallied again: a second loop or third component copy fails its
+    own checks, with its line number, before it could return None again.
     """
     lines = text.splitlines()
-    repeated: set[str] = set()
-    try:
-        parts = _tally(lines, repeated)
-    except DiagramParseError:
-        if not repeated:
-            raise
-    if repeated:
+    parts = _tally(lines)
+    if parts is None:
+        declarations = {l for l in set(lines) if l.lstrip().startswith(("component", "loop"))}
         seen: Counter[str] = Counter()
         for i, line in enumerate(lines):
-            if line in repeated:
+            if line in declarations:
                 lines[i] = line + "\n" * min(seen[line], 2)
                 seen[line] += 1
-        parts = _tally(lines, set())
+        parts = _tally(lines)
 
     # Duplicate and unknown loop ids were caught above with their line; the
     # constructor states the end-of-input rules (two components, none empty).
@@ -129,12 +126,12 @@ def parse_diagram(text: str) -> Diagram:
         raise DiagramParseError(str(exc)) from None
 
 
-def _tally(lines: list[str], repeated: set[str]) -> tuple[tuple[str, ...], tuple[Loop, ...], dict]:
+def _tally(lines: list[str]) -> tuple[tuple[str, ...], tuple[Loop, ...], dict] | None:
     """Names, loops and sums, checking each distinct line at its first occurrence.
 
     A crossing adds its sign times its count: its repeats are valid when it is,
-    as the declared loops only grow.  Repeated component and loop lines go into
-    ``repeated``.
+    as the declared loops only grow.  A component or loop line that passes its
+    checks but repeats returns None instead.
     """
     component_names: list[str] = []
     loops: list[Loop] = []
@@ -145,9 +142,6 @@ def _tally(lines: list[str], repeated: set[str]) -> tuple[tuple[str, ...], tuple
             if not (tokens := _tokens(raw)):
                 continue
             keyword = tokens[0]
-            if count > 1 and keyword in ("component", "loop"):
-                repeated.add(raw)
-
             if keyword == "crossing":
                 if len(tokens) != 4:
                     raise DiagramParseError("expected 'crossing <over> <under> <sign>'")
@@ -164,6 +158,8 @@ def _tally(lines: list[str], repeated: set[str]) -> tuple[tuple[str, ...], tuple
                     raise DiagramParseError("expected 'component <name>'")
                 if len(component_names) == 2:
                     raise DiagramParseError("more than two components")
+                if count > 1:
+                    return None
                 component_names.append(tokens[1])
             elif keyword == "loop":
                 if len(tokens) != 2:
@@ -173,6 +169,8 @@ def _tally(lines: list[str], repeated: set[str]) -> tuple[tuple[str, ...], tuple
                 name = tokens[1]
                 if name in declared:
                     raise DiagramParseError(f"duplicate loop id {name!r}")
+                if count > 1:
+                    return None
                 declared.add(name)
                 loops.append(Loop(name, len(component_names) - 1))
             else:

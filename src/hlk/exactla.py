@@ -55,6 +55,8 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        # A caller's list would stay shared and make the matrix unhashable.
+        object.__setattr__(self, "entries", tuple(self.entries))
         if type(self.rows) is not int or type(self.cols) is not int:
             raise TypeError(f"matrix dimensions must be ints, got {self.rows!r} x {self.cols!r}")
         if self.rows < 0 or self.cols < 0:

@@ -334,8 +334,33 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == EXIT_USAGE
 
+    def test_run_refuses_an_unknown_subcommand_before_reading(self):
+        class Unreadable:
+            def read(self):
+                raise AssertionError("read the input of an unknown subcommand")
+
+        out, err = io.StringIO(), io.StringIO()
+        assert run(CliConfig("bogus"), stdin=Unreadable(), out=out, err=err) == EXIT_USAGE
+        assert (out.getvalue(), err.getvalue()) == ("", "hlk: error: unknown subcommand 'bogus'\n")
+
     def test_bad_flag_value(self, capsys):
-        assert main(["selftest", "--trials", "abc"]) == EXIT_USAGE
+        # Flag integers follow the grammar of matrix entries, ASCII [+-]?[0-9]+.
+        for flag, value in [
+            ("--trials", "abc"),
+            ("--trials", "1_0"),
+            ("--trials", "\u0663"),
+            ("--trials", " 2 "),
+            ("--trials", "1 2"),
+            ("--seed", "+0_1"),
+        ]:
+            assert main(["selftest", flag, value]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"hlk selftest: error: argument {flag}: invalid int value: {value!r}\n")
+
+    def test_signed_flag_values(self, capsys):
+        assert main(["selftest", "--trials", "+2", "--seed", "-7"]) == EXIT_OK
+        assert capsys.readouterr().out == "2/2 passed\n"
 
     def test_unknown_flag(self, capsys):
         assert main(["invariant", "--frobnicate"]) == EXIT_USAGE

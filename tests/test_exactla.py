@@ -115,6 +115,16 @@ class TestIntMatrix:
         with pytest.raises(AttributeError):
             m.rows = 3
 
+    def test_keeps_its_own_copy_of_a_list(self):
+        entries = [1, 2]
+        m = IntMatrix(1, 2, entries)
+        entries[0] = 99
+        assert m.entry(0, 0) == 1
+        assert m == IntMatrix(1, 2, (1, 2))
+        assert hash(m) == hash(IntMatrix(1, 2, (1, 2)))
+        tuple_entries = (3, 4)
+        assert IntMatrix(1, 2, tuple_entries).entries is tuple_entries
+
     def test_values_must_be_ints(self):
         for rows in ([[1.5, 3]], [[2.0, 4.0]], [[True, 2]], [[1, None]]):
             with pytest.raises(TypeError, match="entries must be ints"):
