@@ -169,7 +169,12 @@ class SNFResult:
 # Working copies are lists of row lists.  The certified path keeps one bordered
 # matrix B = [[A, U], [V, 0]], so that a step on A's rows also updates U and a
 # step on A's columns also updates V; B's transpose [[A^T, V^T], [U^T, 0]] has
-# the same layout.  The divisor-only path works on A alone.
+# the same layout.  The divisor-only path works on A alone.  Its staircase is
+# the faster reduction on small inputs, but its entries blow up on dense ones,
+# so it runs under a budget of 100 * m * min(m, n) multiplier bits; past that,
+# the Hermite alternation finishes the same rows with no border.  Every
+# staircase step is unimodular, so the partly reduced A has the input's
+# divisors and is as good a start as the input itself.
 
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -223,7 +228,7 @@ def _min_abs_entry(a, t, m, n):
     return None if best is None else (bi, bj)
 
 
-def _diagonalize(a):
+def _diagonalize(a, budget):
     """Staircase reduction of ``a`` to diagonal form, recording no transforms.
 
     At each step the nonzero entry of least magnitude is moved to the
@@ -231,10 +236,16 @@ def _diagonalize(a):
     subtraction steps.  Any nonzero remainder is strictly smaller than the
     pivot and is swapped in as the new pivot, so each step terminates.
     Returns the number of pivots, which is the rank.
+
+    Each row subtraction spends the bit length of its multiplier.  Entries
+    can grow without bound on dense inputs, so once more than ``budget`` is
+    spent this returns None and leaves ``a`` partly reduced: still
+    unimodularly equivalent to the input, and so with the same divisors.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     t = 0
+    spent = 0
     while True:
         pivot = _min_abs_entry(a, t, m, n)
         if pivot is None:
@@ -253,6 +264,9 @@ def _diagonalize(a):
                     q = x // p
                     if q:
                         _add_row(a, t, i, -q)
+                        spent += q.bit_length()
+                        if spent > budget:
+                            return None
                     if a[i][t]:
                         a[t], a[i] = a[i], a[t]
                         improved = True
@@ -337,9 +351,10 @@ def _hermite(rows, n):
 
 
 def _diagonalize_certified(b, m, n):
-    """Diagonalize the m x n block A of ``b = [[A, U], [V, 0]]`` in place.
+    """Diagonalize the m x n block A of ``b`` in place.
 
-    Row Hermite forms of ``b[:m]`` alternate with those of the transpose's
+    ``b`` is either the bordered ``[[A, U], [V, 0]]`` or A alone.  Row
+    Hermite forms of ``b[:m]`` alternate with those of the transpose's
     first n rows, which are the column forms of A.  Each pass keeps
     ``U @ input @ V == A``, and the alternation ends once A is diagonal, with
     its nonzero entries first.  Returns their number, the rank.
@@ -411,7 +426,10 @@ def elementary_divisors(m: IntMatrix) -> list[int]:
         # to_rows would build one empty list per row of an m x 0 matrix.
         return []
     a = m.to_rows()
-    return _chain(a, _diagonalize(a))
+    r = _diagonalize(a, 100 * m.rows * min(m.rows, m.cols))
+    if r is None:
+        r = _diagonalize_certified(a, m.rows, m.cols)
+    return _chain(a, r)
 
 
 def rank(m: IntMatrix) -> int:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import sys
 import time
@@ -23,7 +24,7 @@ from hlk.exactla import (
     random_unimodular,
     smith_normal_form,
 )
-from hlk.invariant import handlebody_linking, quotient_groups
+from hlk.invariant import AbelianGroup, LkInvariant, handlebody_linking, quotient_groups
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -243,6 +244,74 @@ class TestDivisorsOnlyPath:
             code = cli.run(cli.CliConfig(subcommand, path), out=out, err=io.StringIO())
             assert (code, out.getvalue()) == (cli.EXIT_OK, expected)
 
+    @staticmethod
+    def small_cases():
+        rng = SplitMix64(1979)
+
+        def draw(m, n, bound):
+            return IntMatrix.from_rows(
+                [[rng.below(2 * bound + 1) - bound for _ in range(n)] for _ in range(m)], cols=n
+            )
+
+        for bound in (1, 9, 100):
+            for _ in range(10):
+                yield draw(1 + rng.below(6), 1 + rng.below(6), bound)
+            for _ in range(10):
+                m, k, n = 2 + rng.below(5), 1 + rng.below(3), 2 + rng.below(5)
+                yield draw(m, k, bound) @ draw(k, n, 2)
+
+    def test_hand_off_at_every_budget_gives_the_chain(self):
+        # Stop the staircase after each possible charge and let the Hermite
+        # alternation finish the partly reduced rows, as elementary_divisors does.
+        hand_offs = 0
+        for m in self.small_cases():
+            chain = list(smith_normal_form(m).divisors)
+            for budget in itertools.count():
+                a = m.to_rows()
+                r = exactla._diagonalize(a, budget)
+                if r is not None:
+                    assert exactla._chain(a, r) == chain, m
+                    break
+                r = exactla._diagonalize_certified(a, m.rows, m.cols)
+                assert len(a) == m.rows and {len(row) for row in a} == {m.cols}, m
+                assert exactla._chain(a, r) == chain, (m, budget)
+                hand_offs += 1
+        assert hand_offs > 1000
+
+    @staticmethod
+    def diagram_from_linking(rows):
+        # Each unit of linking is one crossing in each direction.
+        lines = ["component h1", *(f"loop e{i}" for i in range(len(rows)))]
+        lines += ["component h2", *(f"loop f{j}" for j in range(len(rows[0])))]
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                sign = "+" if x > 0 else "-"
+                lines += [f"crossing e{i} f{j} {sign}", f"crossing f{j} e{i} {sign}"] * abs(x)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "seed, n, bound, as_diagram",
+        [(936, 35, 100, False), (941, 40, 100, False), (961, 60, 1, False),
+         (961, 60, 100, False), (5, 50, 3, True)],
+    )
+    def test_dense_inputs_are_fast(self, seed, n, bound, as_diagram):
+        # The unmetered staircase took 7 s (60x60 [-1, 1]) to over 100 s
+        # (35x35 [-100, 100]) on these.
+        m = splitmix_matrix(seed, n, n, bound)
+        text = self.diagram_from_linking(m.to_rows()) if as_diagram else format_matrix(m)
+        divisors = smith_normal_form(m).divisors
+        l = len(divisors)
+        group = AbelianGroup(n - l, tuple(d for d in divisors if d > 1))
+        for subcommand, expected in [
+            ("invariant", f"Lk = {LkInvariant(divisors)}\n"),
+            ("groups", f"A1 = {group}\nA2 = {group}\nl = {l}\n"),
+        ]:
+            out = io.StringIO()
+            start = time.perf_counter()
+            code = cli.run(cli.CliConfig(subcommand), stdin=io.StringIO(text), out=out, err=io.StringIO())
+            assert time.perf_counter() - start < 2
+            assert (code, out.getvalue()) == (cli.EXIT_OK, expected)
+
 
 def splitmix_matrix(seed, m, n, bound):
     """Row-major draws ``below(2 * bound + 1) - bound`` from SplitMix64(seed)."""
@@ -290,14 +359,14 @@ class TestCertifiedPath:
             yield IntMatrix.from_rows([[0] * n, draw(1, n, 40)[0]], cols=n)
             yield IntMatrix.zeros(n, 13 - n)
 
-    def test_agrees_with_elementary_divisors(self):
-        count = 0
-        for m in self.cases():
-            r = smith_normal_form(m)
+    def test_agrees_with_elementary_divisors(self, monkeypatch):
+        results = [(m, smith_normal_form(m)) for m in self.cases()]
+        # Every case stays under the staircase's budget, so the two stay independent.
+        monkeypatch.setattr(exactla, "_diagonalize_certified", None)
+        for m, r in results:
             assert_sound_snf(m, r)
             assert list(r.divisors) == elementary_divisors(m), m
-            count += 1
-        assert count == 198
+        assert len(results) == 198
 
     @pytest.mark.parametrize(
         "seed, rows, cols, bound",
