@@ -171,10 +171,10 @@ class SNFResult:
 # step on A's columns also updates V; B's transpose [[A^T, V^T], [U^T, 0]] has
 # the same layout.  The divisor-only path works on A alone.  Its staircase is
 # the faster reduction on small inputs, but its entries blow up on dense ones,
-# so it runs under a budget of 100 * m * min(m, n) multiplier bits; past that,
-# the Hermite alternation finishes the same rows with no border.  Every
-# staircase step is unimodular, so the partly reduced A has the input's
-# divisors and is as good a start as the input itself.
+# so it runs under a budget of 50 * m * min(m, n) multiplier bits; past that,
+# the Hermite alternation finishes the trailing block A[t:, t:], no border.
+# Every staircase step is unimodular and touches only rows and columns from
+# its pivot t on, so the t finished pivots and the block keep A's divisors.
 
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -184,9 +184,11 @@ def _transpose(a):
     return [list(c) for c in zip(*a)]
 
 
-def _add_row(a, src, dst, k):
+def _add_row(a, src, dst, k, start):
+    """Add ``k`` times row ``src`` to row ``dst``; row ``src`` is zero left of ``start``."""
     ms, md = a[src], a[dst]
-    for idx, x in enumerate(ms):
+    for idx in range(start, len(ms)):
+        x = ms[idx]
         if x:
             md[idx] += k * x
 
@@ -239,8 +241,9 @@ def _diagonalize(a, budget):
 
     Each row subtraction spends the bit length of its multiplier.  Entries
     can grow without bound on dense inputs, so once more than ``budget`` is
-    spent this returns None and leaves ``a`` partly reduced: still
-    unimodularly equivalent to the input, and so with the same divisors.
+    spent at pivot t, the Hermite alternation diagonalizes the block
+    ``a[t:, t:]`` in its place; rows and columns before t are already zero
+    off the diagonal.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -263,10 +266,14 @@ def _diagonalize(a, budget):
                 if x:
                     q = x // p
                     if q:
-                        _add_row(a, t, i, -q)
+                        _add_row(a, t, i, -q, t)
                         spent += q.bit_length()
                         if spent > budget:
-                            return None
+                            block = [row[t:] for row in a[t:]]
+                            r = _diagonalize_certified(block, m - t, n - t)
+                            for row, done in zip(a[t:], block):
+                                row[t:] = done
+                            return t + r
                     if a[i][t]:
                         a[t], a[i] = a[i], a[t]
                         improved = True
@@ -426,10 +433,7 @@ def elementary_divisors(m: IntMatrix) -> list[int]:
         # to_rows would build one empty list per row of an m x 0 matrix.
         return []
     a = m.to_rows()
-    r = _diagonalize(a, 100 * m.rows * min(m.rows, m.cols))
-    if r is None:
-        r = _diagonalize_certified(a, m.rows, m.cols)
-    return _chain(a, r)
+    return _chain(a, _diagonalize(a, 50 * m.rows * min(m.rows, m.cols)))
 
 
 def rank(m: IntMatrix) -> int:

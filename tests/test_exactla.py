@@ -260,23 +260,54 @@ class TestDivisorsOnlyPath:
                 m, k, n = 2 + rng.below(5), 1 + rng.below(3), 2 + rng.below(5)
                 yield draw(m, k, bound) @ draw(k, n, 2)
 
-    def test_hand_off_at_every_budget_gives_the_chain(self):
-        # Stop the staircase after each possible charge and let the Hermite
-        # alternation finish the partly reduced rows, as elementary_divisors does.
-        hand_offs = 0
-        for m in self.small_cases():
-            chain = list(smith_normal_form(m).divisors)
+    @staticmethod
+    def record_hand_offs(monkeypatch, check=None):
+        """Route _diagonalize_certified through ``check``; return the shapes it was given."""
+        certified = exactla._diagonalize_certified
+        shapes = []
+
+        def record(block, rows, cols):
+            if check:
+                check(block, rows, cols)
+            shapes.append((rows, cols))
+            return certified(block, rows, cols)
+
+        monkeypatch.setattr(exactla, "_diagonalize_certified", record)
+        return shapes
+
+    def test_hand_off_at_every_budget_gives_the_chain(self, monkeypatch):
+        # Stop the staircase after each possible charge.  By then the pivots
+        # before t are finished: their rows and columns are zero off the
+        # diagonal, and the Hermite alternation gets only the block after them.
+        cases = [(m, list(smith_normal_form(m).divisors)) for m in self.small_cases()]
+
+        def check(block, rows, cols):
+            t = len(a) - rows
+            assert (rows, cols) == (m.rows - t, m.cols - t), (m, budget)
+            assert block == [row[t:] for row in a[t:]], (m, budget)
+            finished = [(i, j) for i in range(m.rows) for j in range(m.cols) if min(i, j) < t]
+            assert all(bool(a[i][j]) == (i == j) for i, j in finished), (m, budget)
+
+        shapes = self.record_hand_offs(monkeypatch, check)
+        for m, chain in cases:
             for budget in itertools.count():
                 a = m.to_rows()
+                hand_offs = len(shapes)
                 r = exactla._diagonalize(a, budget)
-                if r is not None:
-                    assert exactla._chain(a, r) == chain, m
-                    break
-                r = exactla._diagonalize_certified(a, m.rows, m.cols)
                 assert len(a) == m.rows and {len(row) for row in a} == {m.cols}, m
                 assert exactla._chain(a, r) == chain, (m, budget)
-                hand_offs += 1
-        assert hand_offs > 1000
+                if len(shapes) == hand_offs:
+                    break
+        assert len(shapes) > 1000
+
+    @pytest.mark.parametrize("seed, n", [(941, 40), (931, 30)])
+    def test_hermite_gets_only_the_unfinished_block(self, monkeypatch, seed, n):
+        # Both pass the budget after the staircase has finished some pivots.
+        m = splitmix_matrix(seed, n, n, 1)
+        chain = list(smith_normal_form(m).divisors)
+        shapes = self.record_hand_offs(monkeypatch)
+        assert elementary_divisors(m) == chain
+        assert len(shapes) == 1 and max(shapes[0]) < n, shapes
 
     @staticmethod
     def diagram_from_linking(rows):
