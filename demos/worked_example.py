@@ -9,8 +9,7 @@ from hlk import (
     IntMatrix,
     elementary_divisors,
     handlebody_linking,
-    quotient_group,
-    rank,
+    quotient_groups,
     reconstruct_lk,
     smith_normal_form,
 )
@@ -34,13 +33,12 @@ print("check: U M V == D ->", r.u @ M @ r.v == r.d)
 print("\nElementary divisors:", elementary_divisors(M))
 print("Invariant: Lk =", handlebody_linking(M))
 
-a1 = quotient_group(M, "first")
-a2 = quotient_group(M, "second")
+a1, a2 = quotient_groups(M)
 print("\nQuotient groups of the two complements:")
 print("  A1 =", a1)
 print("  A2 =", a2)
 print("Their torsion agrees; the free ranks differ by m - n =", M.rows - M.cols)
 
-l = rank(M)
+l = len(elementary_divisors(M))
 print("\nFrom A1 and the chain length l =", l, "the invariant is recovered:")
 print("  reconstruct_lk(A1, l) =", reconstruct_lk(a1, l))

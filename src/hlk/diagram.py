@@ -27,7 +27,6 @@ __all__ = [
     "DiagramParseError",
     "InvalidDiagramError",
     "parse_diagram",
-    "linking_number",
     "linking_matrix",
     "merge_loops",
 ]
@@ -38,7 +37,7 @@ class DiagramParseError(_ParseError):
 
 
 class InvalidDiagramError(ValueError):
-    """Crossing data inconsistent with closed curves, or a bad loop pair."""
+    """Crossing data inconsistent with closed curves."""
 
 
 _SIGNS = {"+": 1, "-": -1}
@@ -90,12 +89,6 @@ class Diagram:
 
     def component_loops(self, component: int) -> tuple[Loop, ...]:
         return tuple(l for l in self.loops if l.component == component)
-
-    def loop(self, name: str) -> Loop:
-        for l in self.loops:
-            if l.name == name:
-                return l
-        raise KeyError(name)
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -180,33 +173,22 @@ def _tally(lines: list[str]) -> tuple[tuple[str, ...], tuple[Loop, ...], dict] |
     return tuple(component_names), tuple(loops), sums
 
 
-def _linking(sums: dict, a: str, b: str, entry: tuple[int, int] | None = None) -> int:
-    """Half the crossing sum of ``a`` and ``b``, either on top; ``entry`` prefixes an odd-sum error."""
+def _linking(sums: dict, a: str, b: str, entry: tuple[int, int]) -> int:
+    """Half the crossing sum of ``a`` and ``b``, either on top; an odd sum names ``entry``."""
     total = sums.get((a, b), 0) + sums.get((b, a), 0)
     if total % 2:
-        where = f"entry {entry}: " if entry else ""
-        raise InvalidDiagramError(f"{where}odd crossing sign sum {total} between {a!r} and {b!r}")
+        raise InvalidDiagramError(f"entry {entry}: odd crossing sign sum {total} between {a!r} and {b!r}")
     return total // 2
 
 
-def linking_number(d: Diagram, a: str, b: str) -> int:
-    """Linking number of loops ``a`` and ``b``: half the signed crossing sum.
-
-    Adds the ``(a, b)`` and ``(b, a)`` sums, so every crossing between the
-    two loops counts regardless of which is on top; a closed-curve pair
-    always crosses an even number of times, so an odd sum means the
-    crossing data is inconsistent and raises InvalidDiagramError.
-    Crossings involving other loops, and self/intra-component crossings,
-    are ignored.
-    """
-    la, lb = d.loop(a), d.loop(b)
-    if la.component == lb.component:
-        raise InvalidDiagramError(f"loops {a!r} and {b!r} lie in the same component")
-    return _linking(d.crossing_sums, a, b)
-
-
 def linking_matrix(d: Diagram) -> IntMatrix:
-    """Matrix of linking numbers, rows = first component's loops, cols = second's."""
+    """Matrix of linking numbers, rows = first component's loops, cols = second's.
+
+    Entry ``(i, j)`` is half the signed sum of the crossings between the two
+    loops, either on top.  A closed-curve pair crosses an even number of
+    times, so an odd sum raises InvalidDiagramError.  Crossings within one
+    component are ignored.
+    """
     first = d.component_loops(0)
     second = d.component_loops(1)
     sums = d.crossing_sums
@@ -226,12 +208,13 @@ def merge_loops(d: Diagram, first: str, second: str, merged: str) -> Diagram:
     the two merged loops become self-crossings and drop out of every
     linking number.
     """
-    la, lb = d.loop(first), d.loop(second)
+    by_name = {l.name: l for l in d.loops}
+    la, lb = by_name[first], by_name[second]
     if first == second:
         raise ValueError("cannot merge a loop with itself")
     if la.component != lb.component:
         raise ValueError(f"loops {first!r} and {second!r} lie in different components")
-    if merged in {l.name for l in d.loops} - {first, second}:
+    if merged in by_name.keys() - {first, second}:
         raise ValueError(f"merged id {merged!r} is already in use")
     rename = {first: merged, second: merged}
     kept = (l for l in d.loops if l.name != second)

@@ -18,7 +18,6 @@ __all__ = [
     "SplitMix64",
     "smith_normal_form",
     "elementary_divisors",
-    "rank",
     "minor_gcd_profile",
     "random_unimodular",
     "apply_slide",
@@ -434,11 +433,6 @@ def elementary_divisors(m: IntMatrix) -> list[int]:
         return []
     a = m.to_rows()
     return _chain(a, _diagonalize(a, 50 * m.rows * min(m.rows, m.cols)))
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank of ``m`` over the integers (= length of the divisor chain)."""
-    return len(elementary_divisors(m))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -8,7 +8,6 @@ transpose present them, and the two share one divisor chain.
 """
 
 from dataclasses import dataclass
-from typing import Literal
 
 from .exactla import IntMatrix, elementary_divisors
 
@@ -16,7 +15,6 @@ __all__ = [
     "LkInvariant",
     "AbelianGroup",
     "handlebody_linking",
-    "quotient_group",
     "quotient_groups",
     "reconstruct_lk",
 ]
@@ -27,8 +25,7 @@ class LkInvariant:
     """Divisor multiset {d_1, ..., d_l}, or the zero marker {0} when empty.
 
     Kept as a multiset rather than a set: repeated divisors carry real
-    information about the chain.  Use :meth:`collapsed` for the strict
-    set reading.
+    information about the chain.
     """
 
     divisors: tuple[int, ...] = ()
@@ -42,18 +39,6 @@ class LkInvariant:
         for prev, cur in zip(self.divisors, self.divisors[1:]):
             if cur % prev:
                 raise ValueError(f"broken divisibility chain: {prev} does not divide {cur}")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.divisors
-
-    def collapsed(self) -> "LkInvariant":
-        """Set view: repeated divisors collapsed to one occurrence."""
-        seen = []
-        for d in self.divisors:
-            if not seen or seen[-1] != d:
-                seen.append(d)
-        return LkInvariant(tuple(seen))
 
     def __str__(self):
         if not self.divisors:
@@ -108,20 +93,6 @@ def quotient_groups(m: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
     torsion = tuple(d for d in divisors if d > 1)
     l = len(divisors)
     return AbelianGroup(m.rows - l, torsion), AbelianGroup(m.cols - l, torsion)
-
-
-def quotient_group(m: IntMatrix, side: Literal["first", "second"]) -> AbelianGroup:
-    """Complement homology of one component modulo the other's cycles.
-
-    ``side='first'`` presents the group by ``m`` itself (rows index the
-    first component's basis), giving free rank ``rows - l`` where ``l`` is
-    the rank of ``m``;  ``side='second'`` presents by the transpose,
-    giving free rank ``cols - l``.  Both share the torsion coefficients:
-    the elementary divisors greater than 1.
-    """
-    if side not in ("first", "second"):
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return quotient_groups(m)[side == "second"]
 
 
 def reconstruct_lk(g: AbelianGroup, l: int) -> LkInvariant:

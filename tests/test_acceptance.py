@@ -17,7 +17,7 @@ from hlk import (
     linking_matrix,
     minor_gcd_profile,
     parse_diagram,
-    quotient_group,
+    quotient_groups,
     random_unimodular,
     smith_normal_form,
 )
@@ -62,8 +62,7 @@ def test_criterion_1_worked_example_divisors():
 
 def test_criterion_2_quotient_groups():
     m = IntMatrix.from_rows(WORKED_ROWS)
-    a1 = quotient_group(m, "first")
-    a2 = quotient_group(m, "second")
+    a1, a2 = quotient_groups(m)
     assert (a1.free_rank, list(a1.torsion)) == (0, [2, 4])
     assert (a2.free_rank, list(a2.torsion)) == (1, [2, 4])
     assert a1.torsion == a2.torsion

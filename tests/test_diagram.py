@@ -11,7 +11,6 @@ from hlk.diagram import (
     InvalidDiagramError,
     Loop,
     linking_matrix,
-    linking_number,
     merge_loops,
     parse_diagram,
 )
@@ -313,44 +312,31 @@ class TestDiagramType:
         with pytest.raises(TypeError):
             d.crossing_sums[("b", "a")] = 1
 
-    def test_loop_lookup(self):
-        d = parse_diagram(MINIMAL)
-        assert d.loop("a") == Loop("a", 0)
-        with pytest.raises(KeyError):
-            d.loop("zz")
-
 
 # --- linking numbers -------------------------------------------------------
 
 
 class TestLinkingNumber:
+    """Single entries of the linking matrix."""
+
     def test_hopf(self):
-        d = parse_diagram(MINIMAL)
-        assert linking_number(d, "a", "b") == 1
+        assert linking_matrix(parse_diagram(MINIMAL)) == IntMatrix.from_rows([[1]])
 
     def test_no_crossings(self):
-        assert linking_number(two_loops(""), "a", "b") == 0
+        assert linking_matrix(two_loops("")) == IntMatrix.zeros(1, 1)
 
     def test_mixed_signs(self):
         d = two_loops("crossing a b +\ncrossing b a +\ncrossing a b -\ncrossing b a +\n")
-        assert linking_number(d, "a", "b") == 1
+        assert linking_matrix(d) == IntMatrix.from_rows([[1]])
 
     def test_symmetric_in_the_pair(self):
-        d = two_loops("crossing a b -\ncrossing b a -\n")
-        assert linking_number(d, "a", "b") == linking_number(d, "b", "a") == -1
+        # Either loop may be on top: all three orderings count both crossings.
+        for crossings in ("crossing a b -\ncrossing b a -\n", "crossing a b -\n" * 2, "crossing b a -\n" * 2):
+            assert linking_matrix(two_loops(crossings)) == IntMatrix.from_rows([[-1]])
 
     def test_odd_sum_rejected(self):
         with pytest.raises(InvalidDiagramError, match="odd"):
-            linking_number(two_loops("crossing a b +\n"), "a", "b")
-
-    def test_same_component_rejected(self):
-        d = parse_diagram("component h1\nloop a\nloop c\ncomponent h2\nloop b\n")
-        with pytest.raises(InvalidDiagramError, match="same component"):
-            linking_number(d, "a", "c")
-
-    def test_unknown_loop(self):
-        with pytest.raises(KeyError):
-            linking_number(parse_diagram(MINIMAL), "a", "zz")
+            linking_matrix(two_loops("crossing a b +\n"))
 
     def test_other_crossings_ignored(self):
         text = (
@@ -359,9 +345,7 @@ class TestLinkingNumber:
             "crossing c b -\ncrossing b c -\n"
             "crossing a c +\n"  # intra-component, never counted
         )
-        d = parse_diagram(text)
-        assert linking_number(d, "a", "b") == 1
-        assert linking_number(d, "c", "b") == -1
+        assert linking_matrix(parse_diagram(text)) == IntMatrix.from_rows([[1], [-1]])
 
 
 # --- linking matrix --------------------------------------------------------
@@ -404,7 +388,6 @@ class TestLinkingMatrix:
                         row.append(None)
                     else:
                         row.append(total // 2)
-                        assert linking_number(d, e, f) == linking_number(d, f, e) == total // 2
                 table.append(row)
             if first_odd is None:
                 assert linking_matrix(d).to_rows() == table, seed
@@ -461,7 +444,7 @@ class TestMergeLoops:
         )
         merged = merge_loops(parse_diagram(text), "a", "c", "ac")
         # the a-c crossing now pairs 'ac' with itself and stops counting
-        assert linking_number(merged, "ac", "b") == 1
+        assert linking_matrix(merged) == IntMatrix.from_rows([[1]])
         assert merged.crossing_sums == {("ac", "b"): 1, ("b", "ac"): 1, ("ac", "ac"): 1}
 
     def test_colliding_sums_add(self):
@@ -471,8 +454,8 @@ class TestMergeLoops:
         )
         merged = merge_loops(parse_diagram(text), "a", "c", "ac")
         assert merged.crossing_sums == {("ac", "b"): 3, ("b", "ac"): 0}
-        with pytest.raises(InvalidDiagramError, match="odd crossing sign sum 3"):
-            linking_number(merged, "ac", "b")
+        with pytest.raises(InvalidDiagramError, match=r"entry \(0, 0\): odd crossing sign sum 3"):
+            linking_matrix(merged)
 
     def test_errors(self):
         d = parse_diagram(MINIMAL)

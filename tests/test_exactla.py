@@ -20,7 +20,6 @@ from hlk.exactla import (
     format_matrix,
     minor_gcd_profile,
     parse_matrix,
-    rank,
     random_unimodular,
     smith_normal_form,
 )
@@ -206,9 +205,9 @@ class TestSmithNormalForm:
         assert a.d == b.d and a.u == b.u and a.v == b.v
 
     def test_rank(self, worked_matrix):
-        assert rank(worked_matrix) == 3
-        assert rank(IntMatrix.zeros(4, 4)) == 0
-        assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
+        assert len(elementary_divisors(worked_matrix)) == 3
+        assert len(elementary_divisors(IntMatrix.zeros(4, 4))) == 0
+        assert len(elementary_divisors(IntMatrix.from_rows([[1, 2], [2, 4]]))) == 1
 
     def test_large_entries_stay_exact(self):
         big = 10**30
@@ -229,7 +228,6 @@ class TestDivisorsOnlyPath:
         monkeypatch.setattr(exactla, "_hermite", refuse)
         m = parse_matrix((fixtures_dir / "worked_example.mat").read_text())
         assert elementary_divisors(m) == [1, 2, 4]
-        assert rank(m) == 3
         assert str(handlebody_linking(m)) == "{1, 2, 4}"
         assert tuple(map(str, quotient_groups(m))) == (
             "Z^0 (+) Z/2 (+) Z/4",

@@ -1,12 +1,11 @@
 import pytest
 
 from hlk import invariant
-from hlk.exactla import IntMatrix, SplitMix64, elementary_divisors, rank
+from hlk.exactla import IntMatrix, SplitMix64, elementary_divisors
 from hlk.invariant import (
     AbelianGroup,
     LkInvariant,
     handlebody_linking,
-    quotient_group,
     quotient_groups,
     reconstruct_lk,
 )
@@ -19,13 +18,8 @@ class TestLkInvariant:
         assert str(LkInvariant()) == "{0}"
 
     def test_zero_marker(self):
-        assert LkInvariant().is_zero
-        assert not LkInvariant((1,)).is_zero
-
-    def test_collapsed(self):
-        assert LkInvariant((1, 1, 2, 2, 2, 4)).collapsed() == LkInvariant((1, 2, 4))
-        assert LkInvariant().collapsed() == LkInvariant()
-        assert str(LkInvariant((1, 1)).collapsed()) == "{1}"
+        assert LkInvariant().divisors == ()
+        assert LkInvariant((1,)).divisors != ()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -79,25 +73,20 @@ class TestHandlebodyLinking:
             m = 1 + rng.below(4)
             n = 1 + rng.below(4)
             mat = IntMatrix(m, n, tuple(rng.below(5) - 2 for _ in range(m * n)))
-            assert handlebody_linking(mat).is_zero == (rank(mat) == 0)
+            # Rank zero means every entry is zero.
+            assert (handlebody_linking(mat).divisors == ()) == (not any(mat.entries))
 
 
 class TestQuotientGroup:
     def test_worked_example(self, worked_matrix):
-        a1 = quotient_group(worked_matrix, "first")
-        a2 = quotient_group(worked_matrix, "second")
+        a1, a2 = quotient_groups(worked_matrix)
         assert (a1.free_rank, a1.torsion) == (0, (2, 4))
         assert (a2.free_rank, a2.torsion) == (1, (2, 4))
 
     def test_zero_matrix_first_side_is_free(self):
-        g = quotient_group(IntMatrix.zeros(2, 3), "first")
-        assert (g.free_rank, g.torsion) == (2, ())
-        g = quotient_group(IntMatrix.zeros(2, 3), "second")
-        assert (g.free_rank, g.torsion) == (3, ())
-
-    def test_side_validation(self, worked_matrix):
-        with pytest.raises(ValueError, match="side"):
-            quotient_group(worked_matrix, "third")
+        a1, a2 = quotient_groups(IntMatrix.zeros(2, 3))
+        assert (a1.free_rank, a1.torsion) == (2, ())
+        assert (a2.free_rank, a2.torsion) == (3, ())
 
     def test_second_side_matches_transpose_presentation(self):
         rng = SplitMix64(17)
@@ -106,12 +95,9 @@ class TestQuotientGroup:
             n = 1 + rng.below(5)
             mat = IntMatrix(m, n, tuple(rng.below(11) - 5 for _ in range(m * n)))
             chain = elementary_divisors(mat.transpose())
-            presented = AbelianGroup(n - len(chain), tuple(d for d in chain if d > 1))
-            assert quotient_group(mat, "second") == presented
-            assert quotient_groups(mat) == (
-                quotient_group(mat, "first"),
-                quotient_group(mat, "second"),
-            )
+            torsion = tuple(d for d in chain if d > 1)
+            l = len(chain)
+            assert quotient_groups(mat) == (AbelianGroup(m - l, torsion), AbelianGroup(n - l, torsion))
 
     def test_both_groups_from_one_reduction(self, worked_matrix, monkeypatch):
         calls = []
@@ -142,8 +128,8 @@ class TestReconstructLk:
             reconstruct_lk(AbelianGroup(0, (2, 4)), 1)
 
     def test_round_trip_with_quotient_group(self, worked_matrix):
-        g = quotient_group(worked_matrix, "first")
-        assert reconstruct_lk(g, rank(worked_matrix)) == handlebody_linking(worked_matrix)
+        a1, _ = quotient_groups(worked_matrix)
+        assert reconstruct_lk(a1, len(elementary_divisors(worked_matrix))) == handlebody_linking(worked_matrix)
 
     def test_round_trip_random(self):
         rng = SplitMix64(23)
@@ -151,6 +137,6 @@ class TestReconstructLk:
             m = 1 + rng.below(4)
             n = 1 + rng.below(4)
             mat = IntMatrix(m, n, tuple(rng.below(9) - 4 for _ in range(m * n)))
-            l = rank(mat)
-            for side in ("first", "second"):
-                assert reconstruct_lk(quotient_group(mat, side), l) == handlebody_linking(mat)
+            l = len(elementary_divisors(mat))
+            for group in quotient_groups(mat):
+                assert reconstruct_lk(group, l) == handlebody_linking(mat)

@@ -7,16 +7,17 @@ import pytest
 
 import hlk
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hlk"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hlk"
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+DEMOS = [ast.parse(path.read_text(), filename=str(path)) for path in sorted((ROOT / "demos").glob("*.py"))]
 
 PUBLIC_NAMES = {
     "AbelianGroup", "Diagram", "DiagramParseError", "IntMatrix", "InvalidDiagramError",
     "LkInvariant", "Loop", "MatrixParseError", "SNFResult", "SplitMix64", "__version__",
     "apply_slide", "determinant", "elementary_divisors", "format_matrix", "handlebody_linking",
-    "linking_matrix", "linking_number", "merge_loops", "minor_gcd_profile", "parse_diagram",
-    "parse_matrix", "quotient_group", "quotient_groups", "random_unimodular", "rank",
-    "reconstruct_lk", "run_selftest", "smith_normal_form",
+    "linking_matrix", "merge_loops", "minor_gcd_profile", "parse_diagram", "parse_matrix",
+    "quotient_groups", "random_unimodular", "reconstruct_lk", "run_selftest", "smith_normal_form",
 }
 
 
@@ -34,6 +35,26 @@ def loaded_names(tree: ast.AST) -> set[str]:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             names |= {n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
     return names
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names read in ``tree``, as bare names or as attributes."""
+    return loaded_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_every_public_function_is_used():
+    # A public function earns its place when another package module or a demo
+    # calls it; the defining module and the re-exports in __init__ do not count.
+    functions = [getattr(hlk, name) for name in hlk.__all__]
+    functions = [f for f in functions if callable(f) and not isinstance(f, type)]
+    unused = []
+    for f in functions:
+        home = f.__module__.rsplit(".", 1)[-1] + ".py"
+        users = [tree for module, tree in MODULES.items() if module not in (home, "__init__.py")] + DEMOS
+        if not any(f.__name__ in referenced_names(tree) for tree in users):
+            unused.append(f.__name__)
+    assert DEMOS and functions
+    assert unused == []
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -64,8 +85,7 @@ def private_definitions(tree: ast.Module) -> set[str]:
 def test_every_private_definition_is_used():
     used = set()
     for tree in MODULES.values():
-        used |= loaded_names(tree)
-        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used |= referenced_names(tree)
         used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     defined = set().union(*map(private_definitions, MODULES.values()))
     assert defined - used == set()
