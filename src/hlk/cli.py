@@ -10,7 +10,6 @@ flag error, 2 parse error, 3 invalid diagram, 4 self-test failure.
 import argparse
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
 
 from .diagram import (
     DiagramParseError,
@@ -21,6 +20,7 @@ from .diagram import (
 from .exactla import (
     _INTEGERS,
     MatrixParseError,
+    _Record,
     _tokens,
     format_matrix,
     parse_matrix,
@@ -61,15 +61,14 @@ _SUBCOMMANDS = {
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(_Record):
     """One parsed invocation."""
 
-    subcommand: str
-    input_path: str | None = None
-    trials: int = 100
-    seed: int = 0
-    verbose: bool = False
+    __slots__ = ("subcommand", "input_path", "trials", "seed", "verbose")
+
+    def __init__(self, subcommand: str, input_path: str | None = None, trials: int = 100,
+                 seed: int = 0, verbose: bool = False):
+        super().__init__(subcommand, input_path, trials, seed, verbose)
 
 
 class _Parser(argparse.ArgumentParser):

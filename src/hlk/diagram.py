@@ -16,10 +16,9 @@ declaration order fixes the row/column order of the linking matrix.
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .exactla import IntMatrix, _ParseError, _tokens
+from .exactla import IntMatrix, _ParseError, _Record, _tokens
 
 __all__ = [
     "Loop",
@@ -43,14 +42,14 @@ class InvalidDiagramError(ValueError):
 _SIGNS = {"+": 1, "-": -1}
 
 
-@dataclass(frozen=True)
-class Loop:
-    name: str
-    component: int
+class Loop(_Record):
+    __slots__ = ("name", "component")
+
+    def __init__(self, name: str, component: int):
+        super().__init__(name, component)
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(_Record):
     """Two named components, their loops in declaration order, and the
     signed crossing sum of each ``(over, under)`` loop pair.
 
@@ -58,11 +57,11 @@ class Diagram:
     loop pair however many crossings its file lists.
     """
 
-    component_names: tuple[str, str]
-    loops: tuple[Loop, ...]
-    crossing_sums: Mapping[tuple[str, str], int]
+    __slots__ = ("component_names", "loops", "crossing_sums")
 
-    def __post_init__(self):
+    def __init__(self, component_names: tuple[str, str], loops: tuple[Loop, ...],
+                 crossing_sums: Mapping[tuple[str, str], int]):
+        super().__init__(component_names, loops, crossing_sums)
         if len(self.component_names) != 2:
             raise ValueError(f"expected exactly two components, found {len(self.component_names)}")
         names = set()

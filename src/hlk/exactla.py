@@ -7,9 +7,8 @@ exceed machine words.
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator, Literal
 
 __all__ = [
     "IntMatrix",
@@ -41,21 +40,56 @@ class MatrixParseError(_ParseError):
     """Raised when a matrix file cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Record:
+    """Base of the immutable value types; a subclass's ``__slots__`` are its fields.
+
+    A subclass's ``__init__`` hands every field value to this one; equality,
+    hashing, ``repr`` and pickling go by those values.  See README, Design notes.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class IntMatrix(_Record):
     """Immutable dense integer matrix, entries stored row-major.
 
     Zero rows or columns are allowed; an m x 0 or 0 x n matrix is a valid
     (rank zero) value.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
         # A caller's list would stay shared and make the matrix unhashable.
-        object.__setattr__(self, "entries", tuple(self.entries))
+        super().__init__(rows, cols, tuple(entries))
         if type(self.rows) is not int or type(self.cols) is not int:
             raise TypeError(f"matrix dimensions must be ints, got {self.rows!r} x {self.cols!r}")
         if self.rows < 0 or self.cols < 0:
@@ -150,18 +184,17 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols} [{body}])"
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Record):
     """Smith normal form ``u @ input @ v == d`` with unimodular u, v.
 
     ``d`` is rectangular diagonal; its nonzero diagonal entries are
     ``divisors``, positive and each dividing the next.
     """
 
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    divisors: tuple[int, ...]
+    __slots__ = ("d", "u", "v", "divisors")
+
+    def __init__(self, d: IntMatrix, u: IntMatrix, v: IntMatrix, divisors: tuple[int, ...]):
+        super().__init__(d, u, v, divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +620,7 @@ def random_unimodular(size: int, seed: int, ops: int) -> IntMatrix:
     return IntMatrix.from_rows(a, cols=size)
 
 
-def apply_slide(
-    m: IntMatrix,
-    kind: Literal["row", "col"],
-    src: int,
-    dst: int,
-    coeff: int,
-) -> IntMatrix:
+def apply_slide(m: IntMatrix, kind: str, src: int, dst: int, coeff: int) -> IntMatrix:
     """Add ``coeff`` times row/column ``src`` to row/column ``dst``.
 
     This is the matrix shadow of sliding one loop of a bouquet graph along

@@ -7,9 +7,7 @@ modulo the cycles of the other component; the linking matrix and its
 transpose present them, and the two share one divisor chain.
 """
 
-from dataclasses import dataclass
-
-from .exactla import IntMatrix, elementary_divisors
+from .exactla import IntMatrix, _Record, elementary_divisors
 
 __all__ = [
     "LkInvariant",
@@ -20,17 +18,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LkInvariant:
+class LkInvariant(_Record):
     """Divisor multiset {d_1, ..., d_l}, or the zero marker {0} when empty.
 
     Kept as a multiset rather than a set: repeated divisors carry real
     information about the chain.
     """
 
-    divisors: tuple[int, ...] = ()
+    __slots__ = ("divisors",)
 
-    def __post_init__(self):
+    def __init__(self, divisors: tuple[int, ...] = ()):
+        super().__init__(divisors)
         for d in self.divisors:
             if type(d) is not int:
                 raise TypeError(f"divisors must be ints, got {d!r}")
@@ -46,18 +44,17 @@ class LkInvariant:
         return "{" + ", ".join(str(d) for d in self.divisors) + "}"
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Record):
     """Finitely generated abelian group Z^free_rank (+) Z/t_1 (+) Z/t_2 ...
 
     Torsion coefficients are at least 2 (trivial Z/1 factors are dropped)
     and each divides the next.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        super().__init__(free_rank, torsion)
         if not {type(self.free_rank), *map(type, self.torsion)} <= {int}:
             raise TypeError(f"rank and torsion must be ints, got {self.free_rank!r}, {self.torsion!r}")
         if self.free_rank < 0:

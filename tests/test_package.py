@@ -1,6 +1,9 @@
-"""The package's public names, and guards against code that nothing uses."""
+"""The package's public names, what importing its CLI loads, and guards against
+code that nothing uses."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,17 @@ def test_every_private_definition_is_used():
         used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     defined = set().union(*map(private_definitions, MODULES.values()))
     assert defined - used == set()
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # Every hlk command imports hlk.cli first; these modules once cost most of
+    # that import.  Only what the import adds counts: site may preload some.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import hlk.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, check=True, timeout=60)
+    added = set(done.stdout.split())
+    assert "hlk.cli" in added
+    assert added & {"dataclasses", "inspect", "typing"} == set()
