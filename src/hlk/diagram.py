@@ -86,6 +86,10 @@ class Diagram(_Record):
         # A read-only copy, so the checked sums cannot change afterwards.
         object.__setattr__(self, "crossing_sums", sums)
 
+    def __reduce__(self):
+        # pickle refuses the read-only mapping; the constructor takes a plain dict.
+        return Diagram, (self.component_names, self.loops, dict(self.crossing_sums))
+
     def component_loops(self, component: int) -> tuple[Loop, ...]:
         return tuple(l for l in self.loops if l.component == component)
 

@@ -7,8 +7,9 @@ exceed machine words.
 
 import math
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import combinations
+from itertools import combinations, compress
 
 __all__ = [
     "IntMatrix",
@@ -207,6 +208,9 @@ class SNFResult(_Record):
 # the Hermite alternation finishes the trailing block A[t:, t:], no border.
 # Every staircase step is unimodular and touches only rows and columns from
 # its pivot t on, so the t finished pivots and the block keep A's divisors.
+# Hermite's rows stop at a shared width past which all are zero (an identity
+# border's row j brings j + 1 columns), and a row step starts at the pivot
+# column, left of which the basis row is zero: it skips only zeros.
 
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -330,12 +334,11 @@ def _diagonalize(a, budget):
 
 
 def _reduce_row(row, basis, leads, start):
-    """``row`` with its entries at the pivots ``basis[start:]`` taken into [0, pivot)."""
+    """Take ``row``'s entries at the pivots ``basis[start:]`` into [0, pivot), in place."""
     for b, c in zip(basis[start:], leads[start:]):
         q = row[c] // b[c]
         if q:
-            row = [x - q * y for x, y in zip(row, b)]
-    return row
+            row[c:] = [x - q * y for x, y in zip(row[c:], b[c:])]
 
 
 def _hermite(rows, n):
@@ -346,47 +349,58 @@ def _hermite(rows, n):
     above a pivot in [0, pivot).  The incoming row is reduced the same way
     after each step, so no entry grows beyond a polynomial bound.  Returns
     the basis rows in pivot order, then the rows that became zero in their
-    first ``n`` columns.
+    first ``n`` columns, each as long as the rows given; ``rows`` is left unchanged.
     """
+    full = len(rows[0]) if rows else 0
     basis, leads, kernel = [], [], []
+    w = n
+
+    def reduce_above(i):
+        # basis[:i] is reduced against basis[i + 1:]; only an entry outside [0, p) changes it.
+        c = leads[i]
+        p = basis[i][c]
+        for b in basis[:i]:
+            if not 0 <= b[c] < p:
+                _reduce_row(b, basis, leads, i)
+
     for row in rows:
+        end = 1 + max(compress(range(full), row), default=-1)
+        if end > w:
+            for b in basis:
+                b += [0] * (end - w)
+            w = end
+        row = row[:w]
         i = 0
-        while True:
-            start = leads[i - 1] + 1 if i else 0
-            lead = next((j for j in range(start, n) if row[j]), n)
-            if lead == n:
-                kernel.append(row)
-                break
-            if i == len(basis) or lead < leads[i]:
+        while (lead := next(compress(range(n), row), n)) < n:
+            i = bisect_left(leads, lead, i)
+            if i == len(leads) or lead < leads[i]:
                 if row[lead] < 0:
-                    row = [-x for x in row]
-                basis.insert(i, _reduce_row(row, basis, leads, i))
+                    row[lead:] = [-x for x in row[lead:]]
+                _reduce_row(row, basis, leads, i)
+                basis.insert(i, row)
                 leads.insert(i, lead)
-                for k in range(i):
-                    basis[k] = _reduce_row(basis[k], basis, leads, i)
+                reduce_above(i)
                 break
-            if lead == leads[i]:
-                pivot = basis[i]
-                p, x = pivot[lead], row[lead]
-                if x % p:
-                    # One determinant-1 step [[s, t], [-x/g, p/g]] with
-                    # g = s*p + t*x = gcd(p, x) makes g the pivot and clears x.
-                    g = math.gcd(p, x)
-                    pg, xg = p // g, x // g
-                    t = pow(xg, -1, pg)
-                    s = (g - t * x) // p
-                    basis[i] = _reduce_row(
-                        [s * y + t * z for y, z in zip(pivot, row)], basis, leads, i + 1
-                    )
-                    row = [pg * z - xg * y for y, z in zip(pivot, row)]
-                    for k in range(i):
-                        basis[k] = _reduce_row(basis[k], basis, leads, i)
-                else:
-                    q = x // p
-                    row = [z - q * y for y, z in zip(pivot, row)]
-                row = _reduce_row(row, basis, leads, i + 1)
+            pivot = basis[i]
+            p, x = pivot[lead], row[lead]
+            if x % p:
+                # One determinant-1 step [[s, t], [-x/g, p/g]] with
+                # g = s*p + t*x = gcd(p, x) makes g the pivot and clears x.
+                g = math.gcd(p, x)
+                pg, xg = p // g, x // g
+                t = pow(xg, -1, pg)
+                s = (g - t * x) // p
+                ys, zs = pivot[lead:], row[lead:]
+                pivot[lead:] = [s * y + t * z for y, z in zip(ys, zs)]
+                row[lead:] = [pg * z - xg * y for y, z in zip(ys, zs)]
+                _reduce_row(pivot, basis, leads, i + 1)
+                reduce_above(i)
+            # Subtract x // p times the pivot row (none after a gcd step), then reduce further.
+            _reduce_row(row, basis, leads, i)
             i += 1
-    return basis + kernel
+        else:
+            kernel.append(row)
+    return [row + [0] * (full - len(row)) for row in basis + kernel]
 
 
 def _diagonalize_certified(b, m, n):

@@ -1,8 +1,11 @@
+import collections
+import hashlib
 import io
 import itertools
 import math
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from hlk.exactla import (
 )
 from hlk.invariant import AbelianGroup, LkInvariant, handlebody_linking, quotient_groups
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
@@ -359,6 +363,24 @@ def hadamard_bits(m):
     return min(log_norms(rows), log_norms(zip(*rows)))
 
 
+# sha256 of `hlk snf` stdout: the eight `certified` benchmark anchors
+# (splitmix64 seed, rows, cols, entry bound) and the four fixtures.
+SNF_DIGESTS = [
+    ((921, 20, 20, 100), "95092ae3b588e73f1287fa5c5dccc9624978ab567fe18475da30dd9ab283e07e"),
+    ((926, 25, 25, 100), "beac74f583784ad3ef5bfc10e7d61d40a1a17425fdf42b8807bd1e46173b9c70"),
+    ((931, 30, 30, 1), "1f7f534818cab587134cbcf6623bc813ce198bbf93dc4c642b0278185d38add0"),
+    ((936, 35, 35, 1), "e1683533d15c82e488debaf43c8e563a473ad619a50b6c72db475894b3b740e1"),
+    ((931, 30, 30, 100), "ee0430517caffc47ed30d4092ebd27a979142488b9a4c3ed218a60a936f5cbe6"),
+    ((941, 40, 40, 1), "2007c560afe1ed5c68cccd408766fd90e1ccd7039016f43a816bda967aee82bd"),
+    ((951, 20, 30, 100), "2ca3fbdc2904c787cc0cf340c533b8b79ae6bb2738112724409ebd3b5f1fbcc8"),
+    ((951, 30, 20, 100), "8c0cfa2c00547418c5e599171c47e488dc5644120a5ab771403333d747b5c645"),
+    ("hopf.hlk", "7c19d2ae585cd89f5eaac184dc03708781d48f8cd3806c497e9820c37088f023"),
+    ("separated.hlk", "007e5c06d20de9b358f7aad3b185a067fe6efcc8253273f40e741cab8d25d2d0"),
+    ("worked_example.hlk", "a5c12cddbc3d0a443879d7c5eb8d0fa35634f41e5c89a6cdfa235487dd879517"),
+    ("worked_example.mat", "a5c12cddbc3d0a443879d7c5eb8d0fa35634f41e5c89a6cdfa235487dd879517"),
+]
+
+
 class TestCertifiedPath:
     """smith_normal_form (alternating Hermite forms) against elementary_divisors
     (min-abs staircase): two independent diagonalizations."""
@@ -422,6 +444,139 @@ class TestCertifiedPath:
         assert time.perf_counter() - start < 2
         assert code == cli.EXIT_OK
         assert out.getvalue().startswith(f"# D\nmatrix {n} {n}\n")
+
+    @pytest.mark.parametrize("source, digest", SNF_DIGESTS, ids=[
+        s if isinstance(s, str) else "-".join(map(str, s)) for s, _ in SNF_DIGESTS
+    ])
+    def test_snf_output_is_pinned(self, source, digest):
+        # U and V are deterministic; these digests of the whole `hlk snf` output
+        # were taken before the Hermite row steps were narrowed to their live span.
+        if isinstance(source, str):
+            text = (FIXTURES / source).read_text()
+        else:
+            text = format_matrix(splitmix_matrix(*source))
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(cli.CliConfig("snf"), stdin=io.StringIO(text), out=out, err=err) == cli.EXIT_OK
+        assert err.getvalue() == ""
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def reference_reduce_row(row, basis, leads, start):
+    """The Hermite kernel's row reduction as it was before row steps started at
+    the pivot column: whole-width rows, a new list per step."""
+    for b, c in zip(basis[start:], leads[start:]):
+        q = row[c] // b[c]
+        if q:
+            row = [x - q * y for x, y in zip(row, b)]
+    return row
+
+
+def reference_hermite(rows, n):
+    """The Hermite kernel before it trimmed rows and skipped zero spans; the
+    arithmetic of ``exactla._hermite`` must match it step for step."""
+    basis, leads, kernel = [], [], []
+    for row in rows:
+        i = 0
+        while True:
+            start = leads[i - 1] + 1 if i else 0
+            lead = next((j for j in range(start, n) if row[j]), n)
+            if lead == n:
+                kernel.append(row)
+                break
+            if i == len(basis) or lead < leads[i]:
+                if row[lead] < 0:
+                    row = [-x for x in row]
+                basis.insert(i, reference_reduce_row(row, basis, leads, i))
+                leads.insert(i, lead)
+                for k in range(i):
+                    basis[k] = reference_reduce_row(basis[k], basis, leads, i)
+                break
+            if lead == leads[i]:
+                pivot = basis[i]
+                p, x = pivot[lead], row[lead]
+                if x % p:
+                    g = math.gcd(p, x)
+                    pg, xg = p // g, x // g
+                    t = pow(xg, -1, pg)
+                    s = (g - t * x) // p
+                    basis[i] = reference_reduce_row(
+                        [s * y + t * z for y, z in zip(pivot, row)], basis, leads, i + 1
+                    )
+                    row = [pg * z - xg * y for y, z in zip(pivot, row)]
+                    for k in range(i):
+                        basis[k] = reference_reduce_row(basis[k], basis, leads, i)
+                else:
+                    q = x // p
+                    row = [z - q * y for y, z in zip(pivot, row)]
+                row = reference_reduce_row(row, basis, leads, i + 1)
+            i += 1
+    return basis + kernel
+
+
+class TestHermiteKernel:
+    """exactla._hermite against the whole-width reference above."""
+
+    BORDERS = ("identity", "dense", "trailing-zeros", "none")
+
+    @staticmethod
+    def cases():
+        """(rows, n, border kind): 1,200 seeded inputs up to 9 x 9 plus a border."""
+        rng = SplitMix64(1979)
+
+        def draw(bound):
+            return rng.below(2 * bound + 1) - bound
+
+        for case in range(1200):
+            border = TestHermiteKernel.BORDERS[case % 4]
+            m, n, bound = rng.below(10), rng.below(10), (1, 3, 100)[rng.below(3)]
+            if rng.below(3):
+                a = [[draw(bound) for _ in range(n)] for _ in range(m)]
+            else:
+                # Rank at most k: a product of m x k and k x n factors.
+                k = rng.below(3)
+                x = [[draw(3) for _ in range(k)] for _ in range(m)]
+                y = [[draw(3) for _ in range(n)] for _ in range(k)]
+                a = [[sum(p * q for p, q in zip(r, col)) for col in zip(*y)] if k else [0] * n
+                     for r in x]
+            for row in a:
+                if rng.below(5) == 0:
+                    row[:] = [0] * n
+            if border == "identity":
+                extra = [[int(i == j) for j in range(m)] for i in range(m)]
+            elif border == "dense":
+                width = rng.below(10)
+                extra = [[draw(bound) for _ in range(width)] for _ in range(m)]
+            elif border == "trailing-zeros":
+                # Each row's border ends in a run of zeros of its own length.
+                width = 1 + rng.below(9)
+                extra = []
+                for _ in range(m):
+                    live = rng.below(width + 1)
+                    extra.append([draw(bound) for _ in range(live)] + [0] * (width - live))
+            else:
+                extra = [[] for _ in range(m)]
+            yield [r + e for r, e in zip(a, extra)], n, border
+
+    def test_matches_the_reference(self):
+        seen = collections.Counter()
+        for rows, n, border in self.cases():
+            before = [list(r) for r in rows]
+            got = exactla._hermite(rows, n)
+            assert rows == before, (before, n)
+            assert got == reference_hermite([list(r) for r in rows], n), (before, n)
+            width = len(rows[0]) if rows else 0
+            assert all(len(r) == width for r in got)
+            seen[border, n == 0, not rows] += 1
+        # Every border kind met empty inputs and zero-width A.
+        assert sum(seen.values()) == 1200
+        assert all(seen[b, True, False] and seen[b, False, True] for b in self.BORDERS), seen
+
+    def test_no_rows_and_no_columns(self):
+        assert exactla._hermite([], 0) == []
+        assert exactla._hermite([], 3) == []
+        rows = [[0, 0, 1, 0], [0, 0, 0, 0]]
+        assert exactla._hermite(rows, 0) == reference_hermite(rows, 0) == rows
+        assert rows == [[0, 0, 1, 0], [0, 0, 0, 0]]
 
 
 # --- determinant -----------------------------------------------------------

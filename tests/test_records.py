@@ -88,16 +88,11 @@ def test_repr(value, fields, other, text):
 
 @pytest.mark.parametrize("value, fields, other, text", CASES, ids=IDS)
 def test_pickle_and_copy_round_trip(value, fields, other, text):
-    assert copy.copy(value) == value
-    if type(value) is Diagram:
-        # The read-only mapping of crossing sums can be neither pickled nor deep-copied.
-        for copier in (pickle.dumps, copy.deepcopy):
-            with pytest.raises(TypeError):
-                copier(value)
-        return
-    assert copy.deepcopy(value) == value
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for result in copies:
+        assert type(result) is type(value) and result == value
+        assert repr(result) == text
 
 
 @pytest.mark.parametrize("value, fields, other, text", CASES, ids=IDS)
