@@ -15,7 +15,8 @@ declaration order fixes the row/column order of the linking matrix.
 """
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 from types import MappingProxyType
 
 from .exactla import IntMatrix, _ParseError, _Record, _tokens
@@ -103,16 +104,11 @@ def parse_diagram(text: str) -> Diagram:
     lines are tallied again: a second loop or third component copy fails its
     own checks, with its line number, before it could return None again.
     """
-    lines = text.splitlines()
-    parts = _tally(lines)
+    counts = _count_lines(text)
+    parts = _tally(text, counts)
     if parts is None:
-        declarations = {l for l in set(lines) if l.lstrip().startswith(("component", "loop"))}
-        seen: Counter[str] = Counter()
-        for i, line in enumerate(lines):
-            if line in declarations:
-                lines[i] = line + "\n" * min(seen[line], 2)
-                seen[line] += 1
-        parts = _tally(lines)
+        repeated = [l for l, n in counts.items() if n > 1 and l.lstrip().startswith(("component", "loop"))]
+        parts = _tally(text, _count_lines(text, repeated), repeated)
 
     # Duplicate and unknown loop ids were caught above with their line; the
     # constructor states the end-of-input rules (two components, none empty).
@@ -122,19 +118,77 @@ def parse_diagram(text: str) -> Diagram:
         raise DiagramParseError(str(exc)) from None
 
 
-def _tally(lines: list[str]) -> tuple[tuple[str, ...], tuple[Loop, ...], dict] | None:
-    """Names, loops and sums, checking each distinct line at its first occurrence.
+# Characters per slice of text that is split into lines at a time, so that no
+# pass holds a list of every line of the file.
+_SLICE = 1 << 16
+
+
+def _sliced_lines(text: str, repeated: Iterable[str] = ()) -> Iterator[list[str]]:
+    """The lines of ``text``, one list per slice of at least ``_SLICE`` characters.
+
+    A slice ends just after a ``"\n"`` (or at the end of the text), which
+    never cuts a line break in two, so the lists concatenate to
+    ``text.splitlines()``.  The second copy of each line in ``repeated`` gets
+    one added line break and its later copies two.
+    """
+    seen = dict.fromkeys(repeated, 0)
+    start = 0
+    while start < len(text):
+        # find gives -1, so end 0, when no "\n" follows: the slice runs to the end.
+        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        yield _mark_copies(text[start:end].splitlines(), seen)
+        start = end
+
+
+def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
+    """``lines`` with a line break added to each copy of a line in ``seen``
+    after its first, two from its third on; ``seen`` counts the copies so far."""
+    for line, copies in seen.items():
+        i = -1
+        try:
+            while True:
+                i = lines.index(line, i + 1)
+                lines[i] = line + "\n" * min(copies, 2)
+                copies += 1
+        except ValueError:
+            seen[line] = copies
+    return lines
+
+
+def _count_lines(text: str, repeated: Iterable[str] = ()) -> Counter[str]:
+    """How often each line occurs, in first-occurrence order; see ``_sliced_lines``.
+
+    ``chain`` drops each slice's list before the next is made, so one slice's
+    lines are held at a time.
+    """
+    return Counter(chain.from_iterable(_sliced_lines(text, repeated)))
+
+
+def _line_number(text: str, line: str, repeated: Iterable[str]) -> int:
+    """The number of the first line equal to ``line``, lines as ``_count_lines`` sees them."""
+    before = 0
+    for lines in _sliced_lines(text, repeated):
+        try:
+            return before + lines.index(line) + 1
+        except ValueError:
+            before += len(lines)
+
+
+def _tally(text: str, counts: Counter[str],
+           repeated: Iterable[str] = ()) -> tuple[tuple[str, ...], tuple[Loop, ...], dict] | None:
+    """Names, loops and sums, checking each distinct line of ``counts`` once.
 
     A crossing adds its sign times its count: its repeats are valid when it is,
     as the declared loops only grow.  A component or loop line that passes its
-    checks but repeats returns None instead.
+    checks but repeats returns None instead.  An error names the line of
+    ``text`` where the bad line first occurs.
     """
     component_names: list[str] = []
     loops: list[Loop] = []
     sums: dict[tuple[str, str], int] = {}
     declared: set[str] = set()
     try:
-        for raw, count in Counter(lines).items():
+        for raw, count in counts.items():
             if not (tokens := _tokens(raw)):
                 continue
             keyword = tokens[0]
@@ -172,7 +226,7 @@ def _tally(lines: list[str]) -> tuple[tuple[str, ...], tuple[Loop, ...], dict] |
             else:
                 raise DiagramParseError(f"unknown directive {keyword!r}")
     except DiagramParseError as exc:
-        raise DiagramParseError(str(exc), line=lines.index(raw) + 1) from None
+        raise DiagramParseError(str(exc), line=_line_number(text, raw, repeated)) from None
     return tuple(component_names), tuple(loops), sums
 
 

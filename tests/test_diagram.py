@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,8 @@ HEADS = [
     "component h\nloop a\ncomponent h\nloop b\nloop c\n",
 ]
 
+ANY_LINES = st.lists(st.tuples(st.sampled_from(LINES), st.sampled_from(BREAKS)), max_size=30)
+
 
 def repeating_text(rng: SplitMix64) -> str:
     """A mostly valid diagram whose crossing lines repeat, with a few lines
@@ -145,6 +148,15 @@ def repeating_text(rng: SplitMix64) -> str:
         i, j = rng.below(len(lines)), rng.below(len(lines))
         lines[i], lines[j] = lines[j], lines[i]
     return "".join(line + BREAKS[rng.below(len(BREAKS))] for line in lines)
+
+
+# Heads and the line that follows them 100,000 times.
+COPIED = [
+    ("", "component h"),
+    ("component h1\n", "loop a"),
+    ("component h1\nloop a\n", "knot"),
+    (MINIMAL + "\n", "# c"),
+]
 
 
 def count_tokenizer_calls(monkeypatch) -> list[int]:
@@ -243,10 +255,7 @@ class TestParseDiagram:
         assert 500 < parsed < 2_500
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        st.sampled_from(HEADS),
-        st.lists(st.tuples(st.sampled_from(LINES), st.sampled_from(BREAKS)), max_size=30),
-    )
+    @given(st.sampled_from(HEADS), ANY_LINES)
     def test_matches_the_line_by_line_parser_on_any_lines(self, head, lines):
         text = head + "".join(line + brk for line, brk in lines)
         assert outcome(parse_diagram, text) == outcome(sequential_parse, text)
@@ -265,15 +274,7 @@ class TestParseDiagram:
         # 2 component, 4 loop and at most 32 distinct crossing lines.
         assert calls[0] <= 38
 
-    @pytest.mark.parametrize(
-        "head, line",
-        [
-            ("", "component h"),
-            ("component h1\n", "loop a"),
-            ("component h1\nloop a\n", "knot"),
-            (MINIMAL + "\n", "# c"),
-        ],
-    )
+    @pytest.mark.parametrize("head, line", COPIED)
     def test_copies_of_a_line_are_checked_once(self, monkeypatch, head, line):
         text = head + f"{line}\n" * 100_000
         expected = outcome(sequential_parse, text)
@@ -281,6 +282,64 @@ class TestParseDiagram:
         assert outcome(parse_diagram, text) == expected
         assert calls[0] <= 10
         assert expected[0] == ("diagram" if line == "# c" else "error")
+
+    def test_memory_is_bounded_by_a_slice(self):
+        rng = SplitMix64(80)
+        names = ["e0", "e1", "f0", "f1"]
+        crossings = [
+            (names[rng.below(4)], names[rng.below(4)], 1 if rng.below(2) else -1)
+            for _ in range(80_000)
+        ]
+        text = diagram_text(names[:2], names[2:], crossings)
+        tracemalloc.start()
+        try:
+            parse_diagram(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A list of every line would take several times the text's length.
+        assert peak < len(text) / 2
+
+    def test_slices_concatenate_to_the_lines(self, monkeypatch):
+        text = "".join(line + brk for line in LINES for brk in BREAKS) + "loop z"
+        for slice_chars in range(1, 40):
+            monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+            slices = list(diagram._sliced_lines(text))
+            assert [line for lines in slices for line in lines] == text.splitlines()
+
+
+@pytest.mark.parametrize("slice_chars", [1, 7])
+class TestParseDiagramOnSmallSlices:
+    """The parse tests again, with slices so small that line breaks of every
+    kind, CR LF included, fall on slice edges."""
+
+    parse = TestParseDiagram()
+
+    def test_errors_carry_line_numbers(self, monkeypatch, slice_chars):
+        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        self.parse.test_errors_carry_line_numbers()
+
+    def test_matches_the_line_by_line_parser(self, monkeypatch, slice_chars):
+        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        self.parse.test_matches_the_line_by_line_parser()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(HEADS), ANY_LINES)
+    def test_matches_the_line_by_line_parser_on_any_lines(self, slice_chars, head, lines):
+        text = head + "".join(line + brk for line, brk in lines)
+        # Hypothesis refuses function-scoped fixtures such as monkeypatch.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diagram, "_SLICE", slice_chars)
+            assert outcome(parse_diagram, text) == outcome(sequential_parse, text)
+
+    def test_state_machine_runs_once_per_distinct_line(self, monkeypatch, slice_chars):
+        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        self.parse.test_state_machine_runs_once_per_distinct_line(monkeypatch)
+
+    @pytest.mark.parametrize("head, line", COPIED)
+    def test_copies_of_a_line_are_checked_once(self, monkeypatch, slice_chars, head, line):
+        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        self.parse.test_copies_of_a_line_are_checked_once(monkeypatch, head, line)
 
 
 class TestDiagramType:
