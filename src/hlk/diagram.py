@@ -16,7 +16,6 @@ declaration order fixes the row/column order of the linking matrix.
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import chain
 from types import MappingProxyType
 
 from .exactla import IntMatrix, _ParseError, _Record, _tokens
@@ -101,8 +100,9 @@ def parse_diagram(text: str) -> Diagram:
     Each copy of a component or loop line acts, so ``_tally`` returns None at
     a repeated one.  Then the second copy of each such line gets one added
     line break and the later copies two (``_tokens`` strips them), and the
-    lines are tallied again: a second loop or third component copy fails its
-    own checks, with its line number, before it could return None again.
+    lines are counted and tallied again: a second loop or third component copy
+    fails its own checks, with its line number, before it could return None
+    again.
     """
     counts = _count_lines(text)
     parts = _tally(text, counts)
@@ -156,12 +156,13 @@ def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
 
 
 def _count_lines(text: str, repeated: Iterable[str] = ()) -> Counter[str]:
-    """How often each line occurs, in first-occurrence order; see ``_sliced_lines``.
-
-    ``chain`` drops each slice's list before the next is made, so one slice's
-    lines are held at a time.
-    """
-    return Counter(chain.from_iterable(_sliced_lines(text, repeated)))
+    """How often each line occurs, in first-occurrence order; see ``_sliced_lines``."""
+    counts: Counter[str] = Counter()
+    for lines in _sliced_lines(text, repeated):
+        counts.update(lines)
+        # Free this slice's lines before the next slice is split.
+        del lines
+    return counts
 
 
 def _line_number(text: str, line: str, repeated: Iterable[str]) -> int:
