@@ -100,15 +100,14 @@ def parse_diagram(text: str) -> Diagram:
     Each copy of a component or loop line acts, so ``_tally`` returns None at
     a repeated one.  Then the second copy of each such line gets one added
     line break and the later copies two (``_tokens`` strips them), and the
-    lines are counted and tallied again: a second loop or third component copy
-    fails its own checks, with its line number, before it could return None
-    again.
+    lines are tallied again: a second loop or third component copy fails its
+    own checks, with its line number, before it could return None again.
     """
     counts = _count_lines(text)
     parts = _tally(text, counts)
     if parts is None:
         repeated = [l for l, n in counts.items() if n > 1 and l.lstrip().startswith(("component", "loop"))]
-        parts = _tally(text, _count_lines(text, repeated), repeated)
+        parts = _tally(text, _recount(text, counts, repeated), repeated)
 
     # Duplicate and unknown loop ids were caught above with their line; the
     # constructor states the end-of-input rules (two components, none empty).
@@ -155,14 +154,39 @@ def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
     return lines
 
 
-def _count_lines(text: str, repeated: Iterable[str] = ()) -> Counter[str]:
-    """How often each line occurs, in first-occurrence order; see ``_sliced_lines``."""
+def _count_lines(text: str) -> Counter[str]:
+    """How often each line occurs, in first-occurrence order."""
     counts: Counter[str] = Counter()
-    for lines in _sliced_lines(text, repeated):
+    for lines in _sliced_lines(text):
         counts.update(lines)
         # Free this slice's lines before the next slice is split.
         del lines
     return counts
+
+
+def _recount(text: str, counts: Counter[str], repeated: list[str]) -> dict[str, int]:
+    """The counts of the lines with the copies of ``repeated`` marked, in
+    first-occurrence order, given the unmarked ``counts``.
+
+    Marking adds keys but moves no line, so only the slices up to the last
+    new key (each repeated line's second or third copy) are split again to
+    place the new keys; the later lines keep their order and counts.
+    """
+    recount: dict[str, int] = {}
+    last = [line + "\n" * min(counts[line] - 1, 2) for line in repeated]
+    for lines in _sliced_lines(text, repeated):
+        recount.update(dict.fromkeys(lines, 0))
+        if all(mark in recount for mark in last):
+            break
+    for line in recount:
+        recount[line] = counts.get(line, 1)
+    for line in repeated:
+        recount[line] = 1
+        if counts[line] > 2:
+            recount[line + "\n\n"] = counts[line] - 2
+    for line, count in counts.items():
+        recount.setdefault(line, count)
+    return recount
 
 
 def _line_number(text: str, line: str, repeated: Iterable[str]) -> int:
@@ -175,7 +199,7 @@ def _line_number(text: str, line: str, repeated: Iterable[str]) -> int:
             before += len(lines)
 
 
-def _tally(text: str, counts: Counter[str],
+def _tally(text: str, counts: Mapping[str, int],
            repeated: Iterable[str] = ()) -> tuple[tuple[str, ...], tuple[Loop, ...], dict] | None:
     """Names, loops and sums, checking each distinct line of ``counts`` once.
 

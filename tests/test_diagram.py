@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,8 @@ LINES = [
     "knot x", "# c", "#", "", "  ",
 ]
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+# The parser's slice size, then two so small that line breaks of every kind fall on slice edges.
+SLICES = [diagram._SLICE, 1, 7]
 HEADS = [
     "",
     "component h1\nloop a\ncomponent h2\nloop b\n",
@@ -300,6 +303,19 @@ class TestParseDiagram:
         # A list of every line would take several times the text's length.
         assert peak < len(text) / 2
 
+    @pytest.mark.parametrize("slice_chars", SLICES)
+    def test_recount_matches_a_count_of_the_marked_lines(self, monkeypatch, slice_chars):
+        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        retried = 0
+        for seed in range(1_000):
+            text = repeating_text(SplitMix64(seed)) + HEADS[seed % 3]
+            counts = diagram._count_lines(text)
+            repeated = [l for l, n in counts.items() if n > 1 and l.startswith(("component", "loop"))]
+            marked = Counter(line for lines in diagram._sliced_lines(text, repeated) for line in lines)
+            assert list(diagram._recount(text, counts, repeated).items()) == list(marked.items()), seed
+            retried += bool(repeated)
+        assert retried > 500
+
     def test_slices_concatenate_to_the_lines(self, monkeypatch):
         text = "".join(line + brk for line in LINES for brk in BREAKS) + "loop z"
         for slice_chars in range(1, 40):
@@ -308,7 +324,7 @@ class TestParseDiagram:
             assert [line for lines in slices for line in lines] == text.splitlines()
 
 
-@pytest.mark.parametrize("slice_chars", [1, 7])
+@pytest.mark.parametrize("slice_chars", SLICES[1:])
 class TestParseDiagramOnSmallSlices:
     """The parse tests again, with slices so small that line breaks of every
     kind, CR LF included, fall on slice edges."""
