@@ -162,6 +162,17 @@ COPIED = [
 ]
 
 
+def many_crossings() -> str:
+    """2 + 2 loops and 80,000 crossings over at most 32 distinct crossing lines."""
+    rng = SplitMix64(80)
+    names = ["e0", "e1", "f0", "f1"]
+    crossings = [
+        (names[rng.below(4)], names[rng.below(4)], 1 if rng.below(2) else -1)
+        for _ in range(80_000)
+    ]
+    return diagram_text(names[:2], names[2:], crossings)
+
+
 def count_tokenizer_calls(monkeypatch) -> list[int]:
     calls = [0]
     tokens = diagram._tokens
@@ -264,13 +275,7 @@ class TestParseDiagram:
         assert outcome(parse_diagram, text) == outcome(sequential_parse, text)
 
     def test_state_machine_runs_once_per_distinct_line(self, monkeypatch):
-        rng = SplitMix64(80)
-        names = ["e0", "e1", "f0", "f1"]
-        crossings = [
-            (names[rng.below(4)], names[rng.below(4)], 1 if rng.below(2) else -1)
-            for _ in range(80_000)
-        ]
-        text = diagram_text(names[:2], names[2:], crossings)
+        text = many_crossings()
         expected = outcome(sequential_parse, text)
         calls = count_tokenizer_calls(monkeypatch)
         assert outcome(parse_diagram, text) == expected
@@ -287,13 +292,7 @@ class TestParseDiagram:
         assert expected[0] == ("diagram" if line == "# c" else "error")
 
     def test_memory_is_bounded_by_a_slice(self):
-        rng = SplitMix64(80)
-        names = ["e0", "e1", "f0", "f1"]
-        crossings = [
-            (names[rng.below(4)], names[rng.below(4)], 1 if rng.below(2) else -1)
-            for _ in range(80_000)
-        ]
-        text = diagram_text(names[:2], names[2:], crossings)
+        text = many_crossings()
         tracemalloc.start()
         try:
             parse_diagram(text)
