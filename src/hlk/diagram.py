@@ -14,6 +14,7 @@ The loops of a component are its first-homology basis circles; their
 declaration order fixes the row/column order of the linking matrix.
 """
 
+import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
@@ -100,14 +101,16 @@ def parse_diagram(text: str) -> Diagram:
     Each copy of a component or loop line acts, so ``_tally`` returns None at
     a repeated one.  Then the second copy of each such line gets one added
     line break and the later copies two (``_tokens`` strips them), and the
-    lines are tallied again: a second loop or third component copy fails its
-    own checks, with its line number, before it could return None again.
+    lines are counted and tallied again: a second loop or third component
+    copy fails its own checks, with its line number, before it could return
+    None again.
     """
     counts = _count_lines(text)
     parts = _tally(text, counts)
     if parts is None:
         repeated = [l for l, n in counts.items() if n > 1 and l.lstrip().startswith(("component", "loop"))]
-        parts = _tally(text, _recount(text, counts, repeated), repeated)
+        counts = _count_lines(text, repeated)
+        parts = _tally(text, counts, repeated)
 
     # Duplicate and unknown loop ids were caught above with their line; the
     # constructor states the end-of-input rules (two components, none empty).
@@ -120,73 +123,43 @@ def parse_diagram(text: str) -> Diagram:
 # Characters per slice of text that is split into lines at a time, so that no
 # pass holds a list of every line of the file.
 _SLICE = 1 << 16
+# A line break of ``str.splitlines``, "\r\n" as one.
+_BREAK = re.compile(r"\r\n?|[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _sliced_lines(text: str, repeated: Iterable[str] = ()) -> Iterator[list[str]]:
     """The lines of ``text``, one list per slice of at least ``_SLICE`` characters.
 
-    A slice ends just after a ``"\n"`` (or at the end of the text), which
-    never cuts a line break in two, so the lists concatenate to
-    ``text.splitlines()``.  The second copy of each line in ``repeated`` gets
-    one added line break and its later copies two.
+    A slice ends just after a line break (or at the end of the text) and
+    never between the two characters of a ``"\r\n"``, so the lists
+    concatenate to ``text.splitlines()``.  The second copy of each line in
+    ``repeated`` gets one added line break and its later copies two.
     """
     seen = dict.fromkeys(repeated, 0)
     start = 0
     while start < len(text):
-        # find gives -1, so end 0, when no "\n" follows: the slice runs to the end.
-        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
-        yield _mark_copies(text[start:end].splitlines(), seen)
+        brk = _BREAK.search(text, start + _SLICE - 1)
+        end = brk.end() if brk else len(text)
+        lines = text[start:end].splitlines()
+        # One pass over the slice, in Python only when it holds a repeated line.
+        if seen and not seen.keys().isdisjoint(lines):
+            for i, line in enumerate(lines):
+                if line in seen:
+                    lines[i] = line + "\n" * min(seen[line], 2)
+                    seen[line] += 1
+        yield lines
         start = end
 
 
-def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
-    """``lines`` with a line break added to each copy of a line in ``seen``
-    after its first, two from its third on; ``seen`` counts the copies so far."""
-    for line, copies in seen.items():
-        i = -1
-        try:
-            while True:
-                i = lines.index(line, i + 1)
-                lines[i] = line + "\n" * min(copies, 2)
-                copies += 1
-        except ValueError:
-            seen[line] = copies
-    return lines
-
-
-def _count_lines(text: str) -> Counter[str]:
-    """How often each line occurs, in first-occurrence order."""
+def _count_lines(text: str, repeated: Iterable[str] = ()) -> Counter[str]:
+    """How often each line occurs, in first-occurrence order, with the copies
+    of ``repeated`` marked as ``_sliced_lines`` marks them."""
     counts: Counter[str] = Counter()
-    for lines in _sliced_lines(text):
+    for lines in _sliced_lines(text, repeated):
         counts.update(lines)
         # Free this slice's lines before the next slice is split.
         del lines
     return counts
-
-
-def _recount(text: str, counts: Counter[str], repeated: list[str]) -> dict[str, int]:
-    """The counts of the lines with the copies of ``repeated`` marked, in
-    first-occurrence order, given the unmarked ``counts``.
-
-    Marking adds keys but moves no line, so only the slices up to the last
-    new key (each repeated line's second or third copy) are split again to
-    place the new keys; the later lines keep their order and counts.
-    """
-    recount: dict[str, int] = {}
-    last = [line + "\n" * min(counts[line] - 1, 2) for line in repeated]
-    for lines in _sliced_lines(text, repeated):
-        recount.update(dict.fromkeys(lines, 0))
-        if all(mark in recount for mark in last):
-            break
-    for line in recount:
-        recount[line] = counts.get(line, 1)
-    for line in repeated:
-        recount[line] = 1
-        if counts[line] > 2:
-            recount[line + "\n\n"] = counts[line] - 2
-    for line, count in counts.items():
-        recount.setdefault(line, count)
-    return recount
 
 
 def _line_number(text: str, line: str, repeated: Iterable[str]) -> int:
