@@ -140,15 +140,23 @@ def _sliced_lines(text: str, repeated: Iterable[str] = ()) -> Iterator[list[str]
     while start < len(text):
         brk = _BREAK.search(text, start + _SLICE - 1)
         end = brk.end() if brk else len(text)
-        lines = text[start:end].splitlines()
-        # One pass over the slice, in Python only when it holds a repeated line.
-        if seen and not seen.keys().isdisjoint(lines):
-            for i, line in enumerate(lines):
-                if line in seen:
-                    lines[i] = line + "\n" * min(seen[line], 2)
-                    seen[line] += 1
-        yield lines
+        # No name holds the list here, so the caller can free it before the next split.
+        yield _mark_copies(text[start:end].splitlines(), seen)
         start = end
+
+
+def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
+    """``lines`` with a line break added to each copy of a line in ``seen``
+    after its first, two from its third on; ``seen`` counts the copies so far.
+
+    One pass, and in Python only when the slice holds a line of ``seen``.
+    """
+    if seen and not seen.keys().isdisjoint(lines):
+        for i, line in enumerate(lines):
+            if line in seen:
+                lines[i] = line + "\n" * min(seen[line], 2)
+                seen[line] += 1
+    return lines
 
 
 def _count_lines(text: str, repeated: Iterable[str] = ()) -> Counter[str]:

@@ -299,8 +299,9 @@ class TestParseDiagram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # A list of every line would take several times the text's length.
-        assert peak < len(text) / 2
+        # A list of every line takes 4.35 times the text's length, and keeping
+        # one slice's lines alive while the next is split 0.47 times; 0.26 here.
+        assert peak < len(text) * 0.4
 
     def test_many_loops_declared_twice_fail_fast(self):
         loops = "".join(f"loop a{i}\n" for i in range(20_000))
