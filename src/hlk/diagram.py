@@ -14,7 +14,6 @@ The loops of a component are its first-homology basis circles; their
 declaration order fixes the row/column order of the linking matrix.
 """
 
-import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
@@ -123,8 +122,6 @@ def parse_diagram(text: str) -> Diagram:
 # Characters per slice of text that is split into lines at a time, so that no
 # pass holds a list of every line of the file.
 _SLICE = 1 << 16
-# A line break of ``str.splitlines``, "\r\n" as one.
-_BREAK = re.compile(r"\r\n?|[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _sliced_lines(text: str, repeated: Iterable[str] = ()) -> Iterator[list[str]]:
@@ -138,11 +135,29 @@ def _sliced_lines(text: str, repeated: Iterable[str] = ()) -> Iterator[list[str]
     seen = dict.fromkeys(repeated, 0)
     start = 0
     while start < len(text):
-        brk = _BREAK.search(text, start + _SLICE - 1)
-        end = brk.end() if brk else len(text)
+        end = _slice_end(text, start + _SLICE - 1)
         # No name holds the list here, so the caller can free it before the next split.
         yield _mark_copies(text[start:end].splitlines(), seen)
         start = end
+
+
+def _slice_end(text: str, pos: int) -> int:
+    """Just past the first ``"\n"``, ``"\r\n"`` or lone ``"\r"`` from ``pos`` on,
+    or the end of the text.
+
+    The rarer line breaks of ``str.splitlines`` end no slice.  Each search
+    stops at a break or after ``_SLICE`` characters, so a text with few
+    ``"\n"`` is not read to its end once per slice.
+    """
+    while pos < len(text):
+        lf = text.find("\n", pos, pos + _SLICE)
+        cr = text.find("\r", pos, lf if lf >= 0 else pos + _SLICE)
+        if cr >= 0:
+            return cr + 1 + text.startswith("\n", cr + 1)
+        if lf >= 0:
+            return lf + 1
+        pos += _SLICE
+    return len(text)
 
 
 def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
