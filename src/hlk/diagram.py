@@ -120,7 +120,7 @@ def parse_diagram(text: str) -> Diagram:
 
 
 # Characters per slice of text that is split into lines at a time, so that no
-# pass holds a list of every line of the file.
+# pass holds a list of every line of a file whose lines end in "\n" or "\r".
 _SLICE = 1 << 16
 
 
