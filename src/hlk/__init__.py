@@ -10,8 +10,9 @@ from . import diagram, exactla, invariant
 from .diagram import *
 from .exactla import *
 from .invariant import *
-from .selftest import run_selftest
+from .selftest import SplitMix64, apply_slide, determinant, minor_gcd_profile, random_unimodular, run_selftest
 
 __version__ = "0.1.0"
 
-__all__ = [*diagram.__all__, *exactla.__all__, *invariant.__all__, "run_selftest", "__version__"]
+__all__ = [*diagram.__all__, *exactla.__all__, *invariant.__all__, "SplitMix64", "apply_slide",
+           "determinant", "minor_gcd_profile", "random_unimodular", "run_selftest", "__version__"]

@@ -124,9 +124,10 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     """Execute one invocation; returns the exit code.
 
     Results go to ``out``, diagnostics to ``err`` (defaulting to the
-    process streams).
+    process streams).  A caller's ``stdin`` text stream is read as it is;
+    without one, the process's standard input is decoded strictly as UTF-8,
+    like a file, whatever the locale.
     """
-    stdin = sys.stdin if stdin is None else stdin
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     known = config.subcommand in _SUBCOMMANDS
@@ -146,7 +147,7 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
 
     try:
         if config.input_path in (None, "-"):
-            text = stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8") if stdin is None else stdin.read()
         else:
             with open(config.input_path, "r", encoding="utf-8") as handle:
                 text = handle.read()

@@ -1,5 +1,7 @@
-"""Randomized self-checks for the reduction and invariant code.
+"""Oracles and randomized self-checks for the reduction and invariant code.
 
+The determinant and the minor-gcd profile share no code with the reduction;
+random unimodular matrices and slides are moves the divisors must survive.
 Each trial draws a small random matrix and exercises the properties the
 library promises: exactness of the recorded transforms, invariance of the
 divisors under unimodular multiplication, transposition and slides,
@@ -8,22 +10,193 @@ groups.  All randomness flows from one SplitMix64 stream, so a (trials,
 seed) pair always reruns the identical trials.
 """
 
+import math
 import sys
+from itertools import combinations
 
-from .exactla import (
-    IntMatrix,
-    SNFResult,
-    SplitMix64,
-    apply_slide,
-    determinant,
-    elementary_divisors,
-    minor_gcd_profile,
-    random_unimodular,
-    smith_normal_form,
-)
+from .exactla import IntMatrix, SNFResult, _identity_rows, elementary_divisors, smith_normal_form
 from .invariant import AbelianGroup, LkInvariant, quotient_groups, reconstruct_lk
 
-__all__ = ["random_matrix", "random_slide", "snf_defects", "trial_defects", "run_selftest"]
+__all__ = [
+    "SplitMix64", "determinant", "minor_gcd_profile", "random_unimodular", "apply_slide",
+    "random_matrix", "random_slide", "snf_defects", "trial_defects", "run_selftest",
+]
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            arow, krow = a[i], a[k]
+            for j in range(k + 1, n):
+                # Bareiss: the division by the previous pivot is exact.
+                arow[j] = (arow[j] * pivot - aik * krow[j]) // prev
+            arow[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# Determinantal-divisor oracle.  Deliberately brute force and entirely
+# separate from the reduction code in exactla, so the two can check each other:
+# the product d_1 * ... * d_k must equal the gcd of all k x k minors.
+
+_MINOR_DIM_LIMIT = 6
+_MINOR_COUNT_LIMIT = 10**6
+
+
+def _cofactor_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    first = rows[0]
+    rest = rows[1:]
+    total = 0
+    for j, x in enumerate(first):
+        if x == 0:
+            continue
+        sub = [r[:j] + r[j + 1 :] for r in rest]
+        d = _cofactor_det(sub)
+        total += x * d if j % 2 == 0 else -x * d
+    return total
+
+
+def minor_gcd_profile(m: IntMatrix) -> list[int]:
+    """[D_1, ..., D_min(m,n)] where D_k = gcd of |all k x k minors|.
+
+    D_k is 0 when every k x k minor vanishes.  Minors are evaluated by
+    cofactor expansion; this is a verification oracle for small matrices,
+    not a production path, and refuses inputs beyond the size guard.
+    """
+    k_max = min(m.rows, m.cols)
+    if k_max > _MINOR_DIM_LIMIT:
+        raise ValueError(f"minor oracle limited to min(m, n) <= {_MINOR_DIM_LIMIT}")
+    total = sum(math.comb(m.rows, k) * math.comb(m.cols, k) for k in range(1, k_max + 1))
+    if total > _MINOR_COUNT_LIMIT:
+        raise ValueError(f"minor oracle limited to {_MINOR_COUNT_LIMIT} minors, needs {total}")
+
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    profile = []
+    for k in range(1, k_max + 1):
+        g = 0
+        for rsel in combinations(range(m.rows), k):
+            picked = [rows[i] for i in rsel]
+            for csel in combinations(range(m.cols), k):
+                minor = [[r[j] for j in csel] for r in picked]
+                g = math.gcd(g, _cofactor_det(minor))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        profile.append(g)
+    return profile
+
+
+# ---------------------------------------------------------------------------
+# Deterministic randomness for property testing.
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """splitmix64 stream; fixed constants, reproducible across platforms.
+
+    state <- (state + 0x9E3779B97F4A7C15) mod 2^64, then the output is the
+    state scrambled by two xor-shift-multiply rounds (see README for the
+    exact recurrence).
+    """
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, n: int) -> int:
+        """Uniform-ish draw from range(n); modulo bias is irrelevant here."""
+        if n <= 0:
+            raise ValueError("below() needs a positive bound")
+        return self.next_u64() % n
+
+
+def random_unimodular(size: int, seed: int, ops: int) -> IntMatrix:
+    """Product of ``ops`` random elementary row operations on the identity.
+
+    The operations are row swaps, row negations, and additions of k times
+    one row to another with k in [-3, 3]; each has determinant +-1, so the
+    result is unimodular.  Driven by :class:`SplitMix64`, hence fully
+    reproducible from ``seed``.
+    """
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    if ops < 0:
+        raise ValueError("ops must be non-negative")
+    rng = SplitMix64(seed)
+    a = _identity_rows(size)
+    for _ in range(ops):
+        kind = rng.below(3)
+        if kind == 0:
+            i, j = rng.below(size), rng.below(size)
+            if i != j:
+                a[i], a[j] = a[j], a[i]
+        elif kind == 1:
+            i = rng.below(size)
+            a[i] = [-x for x in a[i]]
+        else:
+            i, j = rng.below(size), rng.below(size)
+            k = rng.below(7) - 3
+            if i != j and k:
+                src = a[i]
+                a[j] = [x + k * y for x, y in zip(a[j], src)]
+    return IntMatrix.from_rows(a, cols=size)
+
+
+def apply_slide(m: IntMatrix, kind: str, src: int, dst: int, coeff: int) -> IntMatrix:
+    """Add ``coeff`` times row/column ``src`` to row/column ``dst``.
+
+    This is the matrix shadow of sliding one loop of a bouquet graph along
+    another; it never changes the elementary divisors.
+    """
+    if kind not in ("row", "col"):
+        raise ValueError(f"kind must be 'row' or 'col', got {kind!r}")
+    if coeff not in (1, -1):
+        raise ValueError(f"coeff must be +1 or -1, got {coeff!r}")
+    limit = m.rows if kind == "row" else m.cols
+    if not (0 <= src < limit and 0 <= dst < limit):
+        raise IndexError(f"{kind} index out of range for {m.rows} x {m.cols}")
+    if src == dst:
+        raise ValueError("slide source and destination must differ")
+    rows = m.to_rows()
+    if kind == "row":
+        rows[dst] = [x + coeff * y for x, y in zip(rows[dst], rows[src])]
+    else:
+        for row in rows:
+            row[dst] += coeff * row[src]
+    return IntMatrix.from_rows(rows, cols=m.cols)
 
 
 def random_matrix(rng: SplitMix64, max_rows: int, max_cols: int, max_entry: int) -> IntMatrix:

@@ -14,6 +14,10 @@ WORKED_ROWS = [
 ]
 
 
+def identity(n: int) -> IntMatrix:
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -20,8 +22,10 @@ from hlk.cli import (
     main,
     run,
 )
-from hlk.exactla import IntMatrix, SplitMix64, _significant_lines, format_matrix, parse_matrix
+from hlk import SplitMix64
+from hlk.exactla import IntMatrix, _significant_lines, format_matrix, parse_matrix
 
+ROOT = Path(__file__).resolve().parents[1]
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 WORKED_TEXT = "matrix 3 4\n-1 -1 0 2\n1 -3 -2 0\n0 0 2 -2\n"
 
@@ -34,7 +38,8 @@ def run_config(config, stdin_text=""):
 
 def run_main(argv, stdin_text="", monkeypatch=None, capsys=None):
     if stdin_text:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        # main reads the bytes under sys.stdin, as in a process.
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin_text.encode())))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -431,6 +436,17 @@ class TestExitCodes:
         assert run(CliConfig("groups"), stdin=stdin, out=out, err=err) == EXIT_PARSE
         assert out.getvalue() == ""
         assert "input is not UTF-8" in err.getvalue()
+
+    @pytest.mark.parametrize("setting", [("LC_ALL", "C"), ("PYTHONIOENCODING", "latin-1")], ids="=".join)
+    def test_undecodable_process_stdin_is_a_parse_error(self, setting):
+        # Under either setting the process's text stdin would accept these bytes.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        env[setting[0]] = setting[1]
+        done = subprocess.run([sys.executable, "-m", "hlk.cli", "invariant", "-"], env=env,
+                              input=b"matrix 1 1\n5\n# caf\xe9\n", capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout) == (EXIT_PARSE, b"")
+        assert done.stderr.startswith(b"hlk invariant: error: input is not UTF-8")
 
 
 # --- the input layer as a whole ---------------------------------------------

@@ -15,7 +15,8 @@ from hlk.diagram import (
     merge_loops,
     parse_diagram,
 )
-from hlk.exactla import IntMatrix, SplitMix64, _significant_lines
+from hlk import SplitMix64
+from hlk.exactla import IntMatrix, _significant_lines
 
 MINIMAL = "component h1\nloop a\ncomponent h2\nloop b\ncrossing a b +\ncrossing b a +"
 

@@ -13,17 +13,14 @@ from hypothesis import strategies as st
 
 import hlk.cli as cli
 import hlk.exactla as exactla
+from conftest import identity
+from hlk import SplitMix64, apply_slide, determinant, minor_gcd_profile, random_unimodular
 from hlk.exactla import (
     IntMatrix,
     MatrixParseError,
-    SplitMix64,
-    apply_slide,
-    determinant,
     elementary_divisors,
     format_matrix,
-    minor_gcd_profile,
     parse_matrix,
-    random_unimodular,
     smith_normal_form,
 )
 from hlk.invariant import AbelianGroup, LkInvariant, handlebody_linking, quotient_groups
@@ -88,12 +85,11 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(-1, 2, ())
 
-    def test_identity_zeros(self):
-        assert IntMatrix.identity(2).to_rows() == [[1, 0], [0, 1]]
+    def test_zeros(self):
         assert IntMatrix.zeros(2, 3).to_rows() == [[0, 0, 0], [0, 0, 0]]
 
     def test_entry_bounds(self):
-        m = IntMatrix.identity(2)
+        m = identity(2)
         with pytest.raises(IndexError):
             m.entry(2, 0)
         with pytest.raises(IndexError):
@@ -108,14 +104,14 @@ class TestIntMatrix:
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[5, 6], [7, 8]])
         assert (a @ b).to_rows() == [[19, 22], [43, 50]]
-        assert (IntMatrix.identity(2) @ a) == a
+        assert (identity(2) @ a) == a
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
-            IntMatrix.identity(2) @ IntMatrix.identity(3)
+            identity(2) @ identity(3)
 
     def test_immutability(self):
-        m = IntMatrix.identity(2)
+        m = identity(2)
         with pytest.raises(AttributeError):
             m.rows = 3
 
@@ -158,7 +154,7 @@ class TestSmithNormalForm:
         assert_sound_snf(worked_matrix, r)
 
     def test_identity(self):
-        assert elementary_divisors(IntMatrix.identity(3)) == [1, 1, 1]
+        assert elementary_divisors(identity(3)) == [1, 1, 1]
 
     def test_zero_matrix(self):
         assert elementary_divisors(IntMatrix.zeros(3, 2)) == []
@@ -621,7 +617,7 @@ class TestMinorGcdProfile:
         assert minor_gcd_profile(worked_matrix) == [1, 2, 8]
 
     def test_identity(self):
-        assert minor_gcd_profile(IntMatrix.identity(3)) == [1, 1, 1]
+        assert minor_gcd_profile(identity(3)) == [1, 1, 1]
 
     def test_zeros(self):
         assert minor_gcd_profile(IntMatrix.zeros(2, 3)) == [0, 0]
@@ -677,7 +673,7 @@ class TestRandomUnimodular:
                 assert abs(determinant(u)) == 1
 
     def test_zero_ops_is_identity(self):
-        assert random_unimodular(4, 123, 0) == IntMatrix.identity(4)
+        assert random_unimodular(4, 123, 0) == identity(4)
 
     def test_deterministic(self):
         assert random_unimodular(3, 7, 15) == random_unimodular(3, 7, 15)
@@ -719,7 +715,7 @@ class TestApplySlide:
             assert elementary_divisors(m) == base
 
     def test_bad_arguments(self):
-        m = IntMatrix.identity(2)
+        m = identity(2)
         with pytest.raises(ValueError):
             apply_slide(m, "diag", 0, 1, 1)
         with pytest.raises(ValueError):

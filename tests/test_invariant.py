@@ -1,7 +1,7 @@
 import pytest
 
-from hlk import invariant
-from hlk.exactla import IntMatrix, SplitMix64, elementary_divisors
+from hlk import SplitMix64, invariant
+from hlk.exactla import IntMatrix, elementary_divisors
 from hlk.invariant import (
     AbelianGroup,
     LkInvariant,

@@ -106,3 +106,29 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     added = set(done.stdout.split())
     assert "hlk.cli" in added
     assert added & {"dataclasses", "inspect", "typing"} == set()
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Dotted names of the modules and names that ``tree`` imports, relative ones without their dots."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {".".join(filter(None, (node.module, alias.name))) for alias in node.names}
+    return names
+
+
+def test_checking_code_lives_in_selftest():
+    # The reduction module holds the records, the reduction and the matrix
+    # file format; the oracles and random moves that check it live in selftest,
+    # which only the CLI and the package's re-exports import.
+    moved = ["SplitMix64", "apply_slide", "determinant", "minor_gcd_profile", "random_unimodular"]
+    assert [getattr(hlk, name).__module__ for name in moved] == ["hlk.selftest"] * len(moved)
+    assert [name for name in moved if hasattr(hlk.exactla, name)] == []
+    assert not hasattr(hlk.IntMatrix, "identity")
+    importers = {
+        module for module, tree in MODULES.items()
+        if any("selftest" in name.split(".") for name in imported_modules(tree))
+    }
+    assert importers == {"cli.py", "__init__.py"}

@@ -2,8 +2,8 @@ import io
 
 import pytest
 
-from hlk import selftest
-from hlk.exactla import IntMatrix, SNFResult, SplitMix64, elementary_divisors, smith_normal_form
+from hlk import SplitMix64, selftest
+from hlk.exactla import IntMatrix, SNFResult, elementary_divisors, smith_normal_form
 from hlk.invariant import AbelianGroup, quotient_groups
 from hlk.selftest import random_matrix, random_slide, run_selftest, snf_defects, trial_defects
 
