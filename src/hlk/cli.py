@@ -147,6 +147,9 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
 
     try:
         if config.input_path in (None, "-"):
+            if stdin is None and sys.stdin is None:
+                # Python sets sys.stdin to None when descriptor 0 is closed.
+                return fail(EXIT_USAGE, "standard input is closed")
             text = sys.stdin.buffer.read().decode("utf-8") if stdin is None else stdin.read()
         else:
             with open(config.input_path, "r", encoding="utf-8") as handle:

@@ -394,6 +394,35 @@ def _hermite(rows, n):
     return [row + [0] * (full - len(row)) for row in basis + kernel]
 
 
+def _packed_hermite(a, n):
+    """Row Hermite form ``[H, U]`` of the rows ``a`` (at most ``n`` of them), or None.
+
+    Each row carries its row of ``U`` as one int, ``sum(U[i][j] << (k * j))``,
+    through ``_hermite``: packing is linear, so every row step on the int is
+    that step on the row of ``U``.  The slots may overflow during the pass;
+    only the final ``U``, unpacked once at its end, must fit.  With full row
+    rank and pivot columns S, ``U = H_S @ inverse(A_S)``, and Hadamard's bound
+    gives ``|U| <= r * prod(max(1, |A_i|))``; ``k`` holds that, a sign bit and
+    whole bytes.  Returns None when the rank is below the row count, since
+    the kernel rows' ``U`` has no such bound.
+    """
+    r = len(a)
+    bound = r * math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in a)
+    size = (bound.bit_length() + 8) // 8
+    k = 8 * size
+    rows = _hermite([row + [1 << (k * i)] for i, row in enumerate(a)], n)
+    if not any(rows[-1][:n]):
+        return None
+    # Adding 2^(k-1) to every slot makes each one a k-bit unsigned field.
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * r, "little")
+    half = 1 << (k - 1)
+    for row in rows:
+        data = (row[n] + bias).to_bytes(size * r, "little")
+        row[n:] = [int.from_bytes(data[s : s + size], "little") - half
+                   for s in range(0, size * r, size)]
+    return rows
+
+
 def _diagonalize_certified(b, m, n):
     """Diagonalize the m x n block A of ``b`` in place.
 
@@ -453,7 +482,12 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     always yields the identical result, including ``u`` and ``v``.
     """
     r, c = m.rows, m.cols
-    b = [a + u for a, u in zip(m.to_rows(), _identity_rows(r))]
+    a = m.to_rows()
+    # The first row pass, which does most of the work, carries U packed; the
+    # alternation's own first pass then finds [H, U] already reduced.
+    b = _packed_hermite(a, c) if 0 < r <= c else None
+    if b is None:
+        b = [row + u for row, u in zip(a, _identity_rows(r))]
     b += [v + [0] * r for v in _identity_rows(c)]
     divisors = _chain(b, _diagonalize_certified(b, r, c))
     return SNFResult(

@@ -448,6 +448,15 @@ class TestExitCodes:
         assert (done.returncode, done.stdout) == (EXIT_PARSE, b"")
         assert done.stderr.startswith(b"hlk invariant: error: input is not UTF-8")
 
+    def test_closed_process_stdin_is_a_usage_error(self):
+        # With descriptor 0 closed, Python starts with sys.stdin set to None.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(["sh", "-c", 'exec "$0" -m hlk.cli invariant - <&-', sys.executable],
+                              env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
+        assert done.stderr == b"hlk invariant: error: standard input is closed\n"
+
 
 # --- the input layer as a whole ---------------------------------------------
 

@@ -457,6 +457,73 @@ class TestCertifiedPath:
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+class TestPackedFirstPass:
+    """The first row pass with U packed into one int per row gives the same
+    SNFResult as the pass on the identity border."""
+
+    @staticmethod
+    def cases():
+        rng = SplitMix64(1979)
+
+        def draw(m, n, bound):
+            return [[rng.below(2 * bound + 1) - bound for _ in range(n)] for _ in range(m)]
+
+        for _ in range(1200):
+            m, n = 1 + rng.below(14), 1 + rng.below(14)
+            rows = draw(m, n, (1, 9, 10**6, 10**30)[rng.below(4)])
+            kind = rng.below(6) if m > 1 else 0
+            i, j = rng.below(m), rng.below(m)
+            if kind == 3:
+                rows[i] = [0] * n
+            elif kind == 4:
+                rows[i] = list(rows[j])
+            elif kind == 5:
+                p, q = rng.below(7) - 3, rng.below(7) - 3
+                rows[i] = [p * x + q * y for x, y in zip(rows[j], rows[(j + 1) % m])]
+            yield IntMatrix.from_rows(rows, cols=n)
+        for n in range(4):
+            yield IntMatrix.zeros(n, 3)
+            yield IntMatrix.zeros(3, n)
+
+    @staticmethod
+    def snf_both_ways(monkeypatch, matrices):
+        """Each matrix's SNFResult with the packed pass and with it declined,
+        and which way the packed pass went: 'kept', 'fell back' or 'skipped'."""
+        kept = []
+        packed_hermite = exactla._packed_hermite
+
+        def record(a, n):
+            rows = packed_hermite(a, n)
+            kept.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(exactla, "_packed_hermite", record)
+        packed, branches = [], []
+        for m in matrices:
+            calls = len(kept)
+            packed.append(smith_normal_form(m))
+            branches.append("skipped" if len(kept) == calls else ("kept" if kept[-1] else "fell back"))
+        monkeypatch.setattr(exactla, "_packed_hermite", lambda a, n: None)
+        return packed, [smith_normal_form(m) for m in matrices], branches
+
+    def test_same_result_as_the_identity_border(self, monkeypatch):
+        matrices = list(self.cases())
+        packed, declined, branches = self.snf_both_ways(monkeypatch, matrices)
+        for m, p, d in zip(matrices, packed, declined):
+            assert p == d, m
+        counts = collections.Counter(branches)
+        assert min(counts[b] for b in ("kept", "fell back", "skipped")) >= 100, counts
+        assert all(b == "skipped" for m, b in zip(matrices, branches) if m.rows > m.cols)
+
+    def test_anchors_take_the_packed_pass(self, monkeypatch):
+        # The six square `certified` anchors and the wide one; a silent
+        # fallback would leave them equal but slow.
+        anchors = [splitmix_matrix(*source) for source, _ in SNF_DIGESTS[:7]]
+        packed, declined, branches = self.snf_both_ways(monkeypatch, anchors)
+        assert packed == declined
+        assert branches == ["kept"] * 7
+
+
 def reference_reduce_row(row, basis, leads, start):
     """The Hermite kernel's row reduction as it was before row steps started at
     the pivot column: whole-width rows, a new list per step."""
