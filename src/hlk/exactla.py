@@ -394,22 +394,51 @@ def _hermite(rows, n):
     return [row + [0] * (full - len(row)) for row in basis + kernel]
 
 
+# Packed, U takes r * r slots of k bits however small it stays, where the
+# identity border takes a 64-bit pointer to a small int.  The packed pass is
+# declined when the slots would hold more than this many bits for each
+# nonzero entry of A: on a diagonal matrix with large entries k runs to
+# millions of bits while U stays the identity.
+_PACKED_BITS_PER_NONZERO = 2048
+
+
+def _packed_slot_bytes(a):
+    """Bytes in each slot of ``U`` packed for the row pass on the rows ``a``,
+    or None when the slots would be too wide for ``a``'s nonzero entries.
+
+    With full row rank and pivot columns S, ``U = H_S @ inverse(A_S)``; each
+    entry of ``H_S`` is at most ``|det A_S|`` and each cofactor of ``A_S`` at
+    most ``prod(|A_i|)`` (Hadamard), so ``|U| <= r * prod(max(1, |A_i|))``.
+    A slot holds that bound and a sign bit in whole bytes.
+    """
+    r = len(a)
+    nonzero = sum(len(row) - row.count(0) for row in a)
+    widest = _PACKED_BITS_PER_NONZERO * nonzero // (r * r)
+    # A row's norm has at least the bits of its largest entry.  The norms and
+    # their product, which can run to millions of bits, are not formed when
+    # that already makes the slots too wide.
+    if sum(max(map(int.bit_length, row)) - 1 for row in a) >= widest:
+        return None
+    norms = [math.isqrt(sum(x * x for x in row)) + 1 for row in a]
+    size = ((r * math.prod(norms)).bit_length() + 8) // 8
+    return size if 8 * size <= widest else None
+
+
 def _packed_hermite(a, n):
     """Row Hermite form ``[H, U]`` of the rows ``a`` (at most ``n`` of them), or None.
 
     Each row carries its row of ``U`` as one int, ``sum(U[i][j] << (k * j))``,
     through ``_hermite``: packing is linear, so every row step on the int is
     that step on the row of ``U``.  The slots may overflow during the pass;
-    only the final ``U``, unpacked once at its end, must fit.  With full row
-    rank and pivot columns S, ``U = H_S @ inverse(A_S)``, and Hadamard's bound
-    gives ``|U| <= r * prod(max(1, |A_i|))``; ``k`` holds that, a sign bit and
-    whole bytes.  Returns None when the rank is below the row count, since
+    only the final ``U``, unpacked once at its end, must fit, and
+    ``_packed_slot_bytes`` bounds it.  Returns None before the pass when
+    that declines, and after it when the rank is below the row count, since
     the kernel rows' ``U`` has no such bound.
     """
-    r = len(a)
-    bound = r * math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in a)
-    size = (bound.bit_length() + 8) // 8
-    k = 8 * size
+    size = _packed_slot_bytes(a)
+    if size is None:
+        return None
+    r, k = len(a), 8 * size
     rows = _hermite([row + [1 << (k * i)] for i, row in enumerate(a)], n)
     if not any(rows[-1][:n]):
         return None
@@ -482,12 +511,14 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     always yields the identical result, including ``u`` and ``v``.
     """
     r, c = m.rows, m.cols
+    # The first row pass, which does most of the work, carries U packed where
+    # the slots fit; the alternation's own first pass then finds [H, U]
+    # already reduced.
     a = m.to_rows()
-    # The first row pass, which does most of the work, carries U packed; the
-    # alternation's own first pass then finds [H, U] already reduced.
     b = _packed_hermite(a, c) if 0 < r <= c else None
     if b is None:
         b = [row + u for row, u in zip(a, _identity_rows(r))]
+    del a  # A's rows are not held through the alternation
     b += [v + [0] * r for v in _identity_rows(c)]
     divisors = _chain(b, _diagonalize_certified(b, r, c))
     return SNFResult(

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -481,6 +482,16 @@ class TestPackedFirstPass:
                 p, q = rng.below(7) - 3, rng.below(7) - 3
                 rows[i] = [p * x + q * y for x, y in zip(rows[j], rows[(j + 1) % m])]
             yield IntMatrix.from_rows(rows, cols=n)
+        for _ in range(200):
+            # Triangular, with large entries on the diagonal: the Hadamard
+            # bound is far above U's size, and most of these decline.
+            m = 2 + rng.below(13)
+            n = m + rng.below(15 - m)
+            rows = [[0] * i + [10 ** (20 + rng.below(80)) + rng.below(99)]
+                    + [rng.below(19) - 9 for _ in range(n - i - 1)] for i in range(m)]
+            if rng.below(2):
+                rows = [row[: i + 1] + [0] * (n - i - 1) for i, row in enumerate(rows)]
+            yield IntMatrix.from_rows(rows, cols=n)
         for n in range(4):
             yield IntMatrix.zeros(n, 3)
             yield IntMatrix.zeros(3, n)
@@ -488,21 +499,27 @@ class TestPackedFirstPass:
     @staticmethod
     def snf_both_ways(monkeypatch, matrices):
         """Each matrix's SNFResult with the packed pass and with it declined,
-        and which way the packed pass went: 'kept', 'fell back' or 'skipped'."""
-        kept = []
+        and which way the packed pass went: 'kept', 'fell back' (rank below
+        the row count), 'declined' (slot too wide) or 'skipped' (tall)."""
+        calls = []
         packed_hermite = exactla._packed_hermite
 
         def record(a, n):
             rows = packed_hermite(a, n)
-            kept.append(rows is not None)
+            if rows is not None:
+                calls.append("kept")
+            elif exactla._packed_slot_bytes(a) is None:
+                calls.append("declined")
+            else:
+                calls.append("fell back")
             return rows
 
         monkeypatch.setattr(exactla, "_packed_hermite", record)
         packed, branches = [], []
         for m in matrices:
-            calls = len(kept)
+            seen = len(calls)
             packed.append(smith_normal_form(m))
-            branches.append("skipped" if len(kept) == calls else ("kept" if kept[-1] else "fell back"))
+            branches.append(calls[-1] if len(calls) > seen else "skipped")
         monkeypatch.setattr(exactla, "_packed_hermite", lambda a, n: None)
         return packed, [smith_normal_form(m) for m in matrices], branches
 
@@ -512,7 +529,7 @@ class TestPackedFirstPass:
         for m, p, d in zip(matrices, packed, declined):
             assert p == d, m
         counts = collections.Counter(branches)
-        assert min(counts[b] for b in ("kept", "fell back", "skipped")) >= 100, counts
+        assert min(counts[b] for b in ("kept", "fell back", "declined", "skipped")) >= 100, counts
         assert all(b == "skipped" for m, b in zip(matrices, branches) if m.rows > m.cols)
 
     def test_anchors_take_the_packed_pass(self, monkeypatch):
@@ -522,6 +539,21 @@ class TestPackedFirstPass:
         packed, declined, branches = self.snf_both_ways(monkeypatch, anchors)
         assert packed == declined
         assert branches == ["kept"] * 7
+
+    def test_large_diagonal_keeps_the_identity_border(self):
+        # U is the identity, but the Hadamard bound gives slots of 331,872
+        # bits: with U packed, this call's traced peak is 236 MB.
+        d = 10**999 + 7
+        m = IntMatrix.from_rows([[d * (i == j) for j in range(100)] for i in range(100)], cols=100)
+        tracemalloc.start()
+        try:
+            result = smith_normal_form(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.divisors == (d,) * 100
+        assert result.u == result.v == identity(100)
+        assert peak < 10 * 2**20
 
 
 def reference_reduce_row(row, basis, leads, start):
