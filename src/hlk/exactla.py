@@ -9,7 +9,7 @@ import math
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import compress
+from itertools import chain, compress
 
 __all__ = [
     "IntMatrix",
@@ -114,8 +114,7 @@ class IntMatrix(_Record):
                 raise ValueError(f"rows have {width} entries, expected {cols}")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(x for r in row_list for x in r)
-        return cls(len(row_list), width, flat)
+        return cls(len(row_list), width, tuple(chain.from_iterable(row_list)))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
@@ -204,7 +203,7 @@ class SNFResult(_Record):
 # column, left of which the basis row is zero: it skips only zeros.
 
 def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def _transpose(a):
@@ -332,7 +331,7 @@ def _reduce_row(row, basis, leads, start):
             row[c:] = [x - q * y for x, y in zip(row[c:], b[c:])]
 
 
-def _hermite(rows, n):
+def _hermite(rows, n, full_rank=False):
     """Row Hermite form of the first ``n`` columns of ``rows``; the rest ride along.
 
     Kannan-Bachem row insertion: each row is inserted into an echelon basis
@@ -341,6 +340,8 @@ def _hermite(rows, n):
     after each step, so no entry grows beyond a polynomial bound.  Returns
     the basis rows in pivot order, then the rows that became zero in their
     first ``n`` columns, each as long as the rows given; ``rows`` is left unchanged.
+    With ``full_rank``, returns None instead as soon as a row becomes zero,
+    without reading the rows after it.
     """
     full = len(rows[0]) if rows else 0
     basis, leads, kernel = [], [], []
@@ -390,6 +391,8 @@ def _hermite(rows, n):
             _reduce_row(row, basis, leads, i)
             i += 1
         else:
+            if full_rank:
+                return None
             kernel.append(row)
     return [row + [0] * (full - len(row)) for row in basis + kernel]
 
@@ -432,15 +435,16 @@ def _packed_hermite(a, n):
     that step on the row of ``U``.  The slots may overflow during the pass;
     only the final ``U``, unpacked once at its end, must fit, and
     ``_packed_slot_bytes`` bounds it.  Returns None before the pass when
-    that declines, and after it when the rank is below the row count, since
-    the kernel rows' ``U`` has no such bound.
+    that declines, and at the first row that reduces to zero, since the
+    kernel rows' ``U`` has no such bound; so a pass on rows of rank ``s``
+    reduces at most ``s + 1`` of them.
     """
     size = _packed_slot_bytes(a)
     if size is None:
         return None
     r, k = len(a), 8 * size
-    rows = _hermite([row + [1 << (k * i)] for i, row in enumerate(a)], n)
-    if not any(rows[-1][:n]):
+    rows = _hermite([row + [1 << (k * i)] for i, row in enumerate(a)], n, full_rank=True)
+    if rows is None:
         return None
     # Adding 2^(k-1) to every slot makes each one a k-bit unsigned field.
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * r, "little")
@@ -453,21 +457,28 @@ def _packed_hermite(a, n):
 
 
 def _diagonalize_certified(b, m, n):
-    """Diagonalize the m x n block A of ``b`` in place.
+    """Diagonalize the m x n block A of ``b`` in place and return its rank.
 
-    ``b`` is either the bordered ``[[A, U], [V, 0]]`` or A alone.  Row
-    Hermite forms of ``b[:m]`` alternate with those of the transpose's
-    first n rows, which are the column forms of A.  Each pass keeps
+    ``b`` is either the bordered ``[[A, U], [V, 0]]`` or A alone.  Runs the
+    first row Hermite pass on ``b[:m]``, then ``_alternate``.
+    """
+    b[:m] = _hermite(b[:m], n)
+    return _alternate(b, m, n)
+
+
+def _alternate(b, m, n):
+    """Diagonalize the m x n block A of ``b`` in place, ``b[:m]`` already in row Hermite form.
+
+    Column Hermite forms of A, the row forms of the transpose's first n rows,
+    alternate with row forms of ``b[:m]``.  Each pass keeps
     ``U @ input @ V == A``, and the alternation ends once A is diagonal, with
     its nonzero entries first.  Returns their number, the rank.
     """
     flipped = False
-    while True:
-        b[:m] = _hermite(b[:m], n)
-        if not any(row[j] for i, row in enumerate(b[:m]) for j in range(n) if i != j):
-            break
+    while any(row[j] for i, row in enumerate(b[:m]) for j in range(n) if i != j):
         b[:] = _transpose(b)
         m, n, flipped = n, m, not flipped
+        b[:m] = _hermite(b[:m], n)
     if flipped:
         b[:] = _transpose(b)
     return sum(1 for i in range(min(m, n)) if b[i][i])
@@ -512,19 +523,18 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     """
     r, c = m.rows, m.cols
     # The first row pass, which does most of the work, carries U packed where
-    # the slots fit; the alternation's own first pass then finds [H, U]
-    # already reduced.
+    # the slots fit, and otherwise runs on the identity border.
     a = m.to_rows()
     b = _packed_hermite(a, c) if 0 < r <= c else None
     if b is None:
-        b = [row + u for row, u in zip(a, _identity_rows(r))]
+        b = _hermite([row + u for row, u in zip(a, _identity_rows(r))], c)
     del a  # A's rows are not held through the alternation
-    b += [v + [0] * r for v in _identity_rows(c)]
-    divisors = _chain(b, _diagonalize_certified(b, r, c))
+    b += [[0] * j + [1] + [0] * (c - 1 - j + r) for j in range(c)]
+    divisors = _chain(b, _alternate(b, r, c))
     return SNFResult(
-        d=IntMatrix.from_rows([row[:c] for row in b[:r]], cols=c),
-        u=IntMatrix.from_rows([row[c:] for row in b[:r]], cols=r),
-        v=IntMatrix.from_rows([row[:c] for row in b[r:]], cols=c),
+        d=IntMatrix(r, c, tuple(chain.from_iterable(row[:c] for row in b[:r]))),
+        u=IntMatrix(r, r, tuple(chain.from_iterable(row[c:] for row in b[:r]))),
+        v=IntMatrix(c, c, tuple(chain.from_iterable(row[:c] for row in b[r:]))),
         divisors=tuple(divisors),
     )
 

@@ -351,6 +351,40 @@ def splitmix_matrix(seed, m, n, bound):
     )
 
 
+def product_matrix(seed, n, k, bound):
+    """``A(n x k) @ B(k x n)``, both drawn row-major from one SplitMix64(seed)."""
+    rng = SplitMix64(seed)
+
+    def draw(rows, cols):
+        return IntMatrix.from_rows(
+            [[rng.below(2 * bound + 1) - bound for _ in range(cols)] for _ in range(rows)], cols=cols
+        )
+
+    return draw(n, k) @ draw(k, n)
+
+
+def planted_matrix(seed, n, rank):
+    """An n x n of the given rank: a divisor chain, each entry 1 to 3 times the
+    one before as SplitMix64(seed) draws, between two random unimodular matrices."""
+    rng = SplitMix64(seed)
+    d, rows = 1, []
+    for i in range(n):
+        if i < rank:
+            d *= 1 + rng.below(3)
+        rows.append([0] * i + [d if i < rank else 0] + [0] * (n - 1 - i))
+    diagonal = IntMatrix.from_rows(rows, cols=n)
+    return random_unimodular(n, seed + 1, 6 * n) @ diagonal @ random_unimodular(n, seed + 2, 6 * n)
+
+
+def snf_digest(m):
+    """sha256 of `hlk snf` stdout on ``m``."""
+    out, err = io.StringIO(), io.StringIO()
+    text = format_matrix(m)
+    assert cli.run(cli.CliConfig("snf"), stdin=io.StringIO(text), out=out, err=err) == cli.EXIT_OK
+    assert err.getvalue() == ""
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def hadamard_bits(m):
     """log2 of the Hadamard bound on the maximal minors of ``m``."""
     def log_norms(rows):
@@ -539,6 +573,61 @@ class TestPackedFirstPass:
         packed, declined, branches = self.snf_both_ways(monkeypatch, anchors)
         assert packed == declined
         assert branches == ["kept"] * 7
+
+    def test_first_row_pass_runs_once(self, monkeypatch):
+        # _hermite calls on each anchor when the alternation ran its own first
+        # row pass over the packed pass's [H, U]; that pass changed nothing.
+        before = [3, 3, 4, 3, 4, 3, 3]
+        anchors = [splitmix_matrix(*source) for source, _ in SNF_DIGESTS[:7]]
+        hermite, calls = exactla._hermite, []
+
+        def count(*args, **options):
+            calls.append(args)
+            return hermite(*args, **options)
+
+        monkeypatch.setattr(exactla, "_hermite", count)
+        counts = []
+        for m in anchors:
+            seen = len(calls)
+            smith_normal_form(m)
+            counts.append(len(calls) - seen)
+        assert counts == [k - 1 for k in before]
+
+    def test_rank_deficient_pass_stops_at_its_first_zero_row(self, monkeypatch):
+        # Rank 5, and the slots fit: the pass gives up on the packed border
+        # after at most rank + 1 rows, not after all 24.
+        a = product_matrix(2405, 24, 5, 10).to_rows()
+        assert exactla._packed_slot_bytes(a) is not None
+        hermite, drawn = exactla._hermite, []
+
+        class Counting(list):
+            def __iter__(self):
+                for row in super().__iter__():
+                    drawn.append(row)
+                    yield row
+
+        monkeypatch.setattr(exactla, "_hermite",
+                            lambda rows, n, **options: hermite(Counting(rows), n, **options))
+        assert exactla._packed_hermite(a, 24) is None
+        assert 0 < len(drawn) <= 6
+
+    # sha256 of `hlk snf` stdout on inputs that leave the packed pass, taken
+    # before a rank-deficient pass stopped at its first zero row and before
+    # the alternation took the first row pass's result as it stood.
+    @pytest.mark.parametrize("make, branch, digest", [
+        (lambda: product_matrix(1605, 16, 5, 10), "fell back",
+         "b4937d4e395ed5ef6ea46613bc4856bf352edd68e739fc1eb8a28714aedcffec"),
+        (lambda: planted_matrix(1612, 16, 12), "fell back",
+         "2512dab4dd88456ba1f59b665daccd941ab7aaf3a546a5ff91bb1be06739aec5"),
+        (lambda: splitmix_matrix(1208, 12, 8, 100), "skipped",
+         "f34016f2ba5c5c91f761ab01691831a4ef16aee7cd134bbe1f691eba8b09a35a"),
+    ], ids=["rank-deficient-16x5x16", "planted-16x16x12", "tall-12x8"])
+    def test_snf_output_off_the_packed_pass_is_pinned(self, monkeypatch, make, branch, digest):
+        m = make()
+        assert snf_digest(m) == digest
+        packed, declined, branches = self.snf_both_ways(monkeypatch, [m])
+        assert packed == declined
+        assert branches == [branch]
 
     def test_large_diagonal_keeps_the_identity_border(self):
         # U is the identity, but the Hadamard bound gives slots of 331,872
