@@ -8,6 +8,7 @@ flag error, 2 parse error, 3 invalid diagram, 4 self-test failure.
 """
 
 import argparse
+import io
 import sys
 from contextlib import suppress
 
@@ -21,7 +22,7 @@ from .exactla import (
     _INTEGERS,
     MatrixParseError,
     _Record,
-    _tokens,
+    _significant_lines,
     format_matrix,
     parse_matrix,
     smith_normal_form,
@@ -106,18 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def detect_format(text: str) -> str | None:
     """``'diagram'`` or ``'matrix'`` by the first significant token, else None.
 
-    Reads only up to the first line that is not blank or a comment, with the
-    tokens split as both parsers split them, in a prefix that doubles until
-    a line break follows that line or the prefix is the whole text.
+    Scans lines as both parsers do, and only as far as the first line that is
+    not blank or a comment.
     """
-    size = 64
-    while True:
-        lines = text[:size].splitlines()
-        whole = size >= len(text)
-        tokens = next(filter(None, map(_tokens, lines if whole else lines[:-1])), None)
-        if tokens or whole:
-            return tokens and {"component": "diagram", "matrix": "matrix"}.get(tokens[0])
-        size *= 2
+    first = next(_significant_lines(text), None)
+    return first and {"component": "diagram", "matrix": "matrix"}.get(first[1][0])
 
 
 def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
@@ -137,13 +131,23 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
         print(f"{prog}: error: {message}", file=err)
         return code
 
+    def emit(result: str, code: int) -> int:
+        # Flushed here, so that a write error fails this call, not the exit.
+        try:
+            out.write(result)
+            out.flush()
+        except OSError as exc:
+            return fail(EXIT_USAGE, f"cannot write the result: {exc}")
+        return code
+
     if not known:
         return fail(EXIT_USAGE, f"unknown subcommand {config.subcommand!r}")
     if config.subcommand == "selftest":
         if config.trials < 1:
             return fail(EXIT_USAGE, "--trials must be at least 1")
-        failures = run_selftest(config.trials, config.seed, verbose=config.verbose, out=out, err=err)
-        return EXIT_SELFTEST if failures else EXIT_OK
+        summary = io.StringIO()
+        failures = run_selftest(config.trials, config.seed, verbose=config.verbose, out=summary, err=err)
+        return emit(summary.getvalue(), EXIT_SELFTEST if failures else EXIT_OK)
 
     try:
         if config.input_path in (None, "-"):
@@ -178,33 +182,31 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
 
     # Results are exact, so printing them lifts Python's int-to-str digit limit;
     # the parser above still refuses entries over it.  The caller's setting is
-    # restored afterwards.
+    # restored afterwards.  Each result is formatted whole before it is written,
+    # so a failure leaves stdout empty.
     set_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_digits:
         previous = sys.get_int_max_str_digits()
         set_digits(0)
     try:
         if config.subcommand == "invariant":
-            print(f"Lk = {handlebody_linking(m)}", file=out)
+            result = f"Lk = {handlebody_linking(m)}\n"
         elif config.subcommand == "matrix":
-            out.write(format_matrix(m))
+            result = format_matrix(m)
         elif config.subcommand == "groups":
             first, second = quotient_groups(m)
-            print(f"A1 = {first}", file=out)
-            print(f"A2 = {second}", file=out)
-            print(f"l = {m.rows - first.free_rank}", file=out)
+            result = f"A1 = {first}\nA2 = {second}\nl = {m.rows - first.free_rank}\n"
         else:  # snf
             if max(m.shape) > _SNF_MAX_DIM:
                 limit = f"at most {_SNF_MAX_DIM} rows and {_SNF_MAX_DIM} columns"
                 return fail(EXIT_PARSE, f"the matrix is {m.rows} x {m.cols}; snf takes {limit}")
-            # Format all three blocks before writing, so a failure leaves stdout empty.
             r = smith_normal_form(m)
             blocks = (("D", r.d), ("U", r.u), ("V", r.v))
-            out.write("".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks))
+            result = "".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks)
     finally:
         if set_digits:
             set_digits(previous)
-    return EXIT_OK
+    return emit(result, EXIT_OK)
 
 
 def main(argv=None) -> int:

@@ -15,10 +15,10 @@ declaration order fixes the row/column order of the linking matrix.
 """
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
-from .exactla import IntMatrix, _ParseError, _Record, _tokens
+from .exactla import IntMatrix, _ParseError, _Record, _sliced_lines, _tokens
 
 __all__ = [
     "Loop",
@@ -61,7 +61,7 @@ class Diagram(_Record):
 
     def __init__(self, component_names: tuple[str, str], loops: tuple[Loop, ...],
                  crossing_sums: Mapping[tuple[str, str], int]):
-        super().__init__(component_names, loops, crossing_sums)
+        super().__init__(tuple(component_names), tuple(loops), crossing_sums)
         if len(self.component_names) != 2:
             raise ValueError(f"expected exactly two components, found {len(self.component_names)}")
         names = set()
@@ -119,47 +119,6 @@ def parse_diagram(text: str) -> Diagram:
         raise DiagramParseError(str(exc)) from None
 
 
-# Characters per slice of text that is split into lines at a time, so that no
-# pass holds a list of every line of a file whose lines end in "\n" or "\r".
-_SLICE = 1 << 16
-
-
-def _sliced_lines(text: str, repeated: Iterable[str] = ()) -> Iterator[list[str]]:
-    """The lines of ``text``, one list per slice of at least ``_SLICE`` characters.
-
-    A slice ends just after a line break (or at the end of the text) and
-    never between the two characters of a ``"\r\n"``, so the lists
-    concatenate to ``text.splitlines()``.  The second copy of each line in
-    ``repeated`` gets one added line break and its later copies two.
-    """
-    seen = dict.fromkeys(repeated, 0)
-    start = 0
-    while start < len(text):
-        end = _slice_end(text, start + _SLICE - 1)
-        # No name holds the list here, so the caller can free it before the next split.
-        yield _mark_copies(text[start:end].splitlines(), seen)
-        start = end
-
-
-def _slice_end(text: str, pos: int) -> int:
-    """Just past the first ``"\n"``, ``"\r\n"`` or lone ``"\r"`` from ``pos`` on,
-    or the end of the text.
-
-    The rarer line breaks of ``str.splitlines`` end no slice.  Each search
-    stops at a break or after ``_SLICE`` characters, so a text with few
-    ``"\n"`` is not read to its end once per slice.
-    """
-    while pos < len(text):
-        lf = text.find("\n", pos, pos + _SLICE)
-        cr = text.find("\r", pos, lf if lf >= 0 else pos + _SLICE)
-        if cr >= 0:
-            return cr + 1 + text.startswith("\n", cr + 1)
-        if lf >= 0:
-            return lf + 1
-        pos += _SLICE
-    return len(text)
-
-
 def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
     """``lines`` with a line break added to each copy of a line in ``seen``
     after its first, two from its third on; ``seen`` counts the copies so far.
@@ -176,10 +135,11 @@ def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
 
 def _count_lines(text: str, repeated: Iterable[str] = ()) -> Counter[str]:
     """How often each line occurs, in first-occurrence order, with the copies
-    of ``repeated`` marked as ``_sliced_lines`` marks them."""
+    of ``repeated`` marked by ``_mark_copies``."""
     counts: Counter[str] = Counter()
-    for lines in _sliced_lines(text, repeated):
-        counts.update(lines)
+    seen = dict.fromkeys(repeated, 0)
+    for lines in _sliced_lines(text):
+        counts.update(_mark_copies(lines, seen))
         # Free this slice's lines before the next slice is split.
         del lines
     return counts
@@ -188,9 +148,10 @@ def _count_lines(text: str, repeated: Iterable[str] = ()) -> Counter[str]:
 def _line_number(text: str, line: str, repeated: Iterable[str]) -> int:
     """The number of the first line equal to ``line``, lines as ``_count_lines`` sees them."""
     before = 0
-    for lines in _sliced_lines(text, repeated):
+    seen = dict.fromkeys(repeated, 0)
+    for lines in _sliced_lines(text):
         try:
-            return before + lines.index(line) + 1
+            return before + _mark_copies(lines, seen).index(line) + 1
         except ValueError:
             before += len(lines)
 

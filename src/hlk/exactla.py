@@ -40,7 +40,9 @@ class _Record:
     """Base of the immutable value types; a subclass's ``__slots__`` are its fields.
 
     A subclass's ``__init__`` hands every field value to this one; equality,
-    hashing, ``repr`` and pickling go by those values.  See README, Design notes.
+    hashing, ``repr`` and pickling go by those values.  It hands sequences over
+    as tuples: a caller's list would stay shared and make the value unhashable.
+    See README, Design notes.
     """
 
     __slots__ = ()
@@ -84,7 +86,6 @@ class IntMatrix(_Record):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
-        # A caller's list would stay shared and make the matrix unhashable.
         super().__init__(rows, cols, tuple(entries))
         if type(self.rows) is not int or type(self.cols) is not int:
             raise TypeError(f"matrix dimensions must be ints, got {self.rows!r} x {self.cols!r}")
@@ -185,7 +186,7 @@ class SNFResult(_Record):
     __slots__ = ("d", "u", "v", "divisors")
 
     def __init__(self, d: IntMatrix, u: IntMatrix, v: IntMatrix, divisors: tuple[int, ...]):
-        super().__init__(d, u, v, divisors)
+        super().__init__(d, u, v, tuple(divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +296,8 @@ def _diagonalize(a, budget):
                         _add_row(a, t, i, -q, t)
                         spent += q.bit_length()
                         if spent > budget:
-                            block = [row[t:] for row in a[t:]]
-                            r = _diagonalize_certified(block, m - t, n - t)
+                            block = _hermite([row[t:] for row in a[t:]], n - t)
+                            r = _alternate(block, m - t, n - t)
                             for row, done in zip(a[t:], block):
                                 row[t:] = done
                             return t + r
@@ -456,16 +457,6 @@ def _packed_hermite(a, n):
     return rows
 
 
-def _diagonalize_certified(b, m, n):
-    """Diagonalize the m x n block A of ``b`` in place and return its rank.
-
-    ``b`` is either the bordered ``[[A, U], [V, 0]]`` or A alone.  Runs the
-    first row Hermite pass on ``b[:m]``, then ``_alternate``.
-    """
-    b[:m] = _hermite(b[:m], n)
-    return _alternate(b, m, n)
-
-
 def _alternate(b, m, n):
     """Diagonalize the m x n block A of ``b`` in place, ``b[:m]`` already in row Hermite form.
 
@@ -535,7 +526,7 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
         d=IntMatrix(r, c, tuple(chain.from_iterable(row[:c] for row in b[:r]))),
         u=IntMatrix(r, r, tuple(chain.from_iterable(row[c:] for row in b[:r]))),
         v=IntMatrix(c, c, tuple(chain.from_iterable(row[:c] for row in b[r:]))),
-        divisors=tuple(divisors),
+        divisors=divisors,
     )
 
 
@@ -569,9 +560,51 @@ def _tokens(line: str) -> list[str] | None:
 
 def _significant_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(line number, tokens)`` of each line that is not blank or a comment, lazily."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(chain.from_iterable(_sliced_lines(text)), start=1):
         if tokens := _tokens(line):
             yield lineno, tokens
+
+
+# Most characters split into lines at a time, so that no pass holds a list of
+# every line of a long text.  The first slices are shorter, so that a reader
+# that stops at the first significant line, as the format sniff does, splits little.
+_SLICE = 1 << 16
+
+
+def _sliced_lines(text: str) -> Iterator[list[str]]:
+    """The lines of ``text``, one list per slice, lazily.
+
+    The first slice takes at least ``min(64, _SLICE)`` characters and each
+    later one 16 times as many as the one before, up to ``_SLICE``.  A slice
+    ends just after a line break (or at the end of the text) and never
+    between the two characters of a ``"\r\n"``, so the lists concatenate to
+    ``text.splitlines()``.
+    """
+    start, size = 0, min(64, _SLICE)
+    while start < len(text):
+        end = _slice_end(text, start + size - 1)
+        # No name holds the list here, so the caller can free it before the next split.
+        yield text[start:end].splitlines()
+        start, size = end, min(16 * size, _SLICE)
+
+
+def _slice_end(text: str, pos: int) -> int:
+    """Just past the first ``"\n"``, ``"\r\n"`` or lone ``"\r"`` from ``pos`` on,
+    or the end of the text.
+
+    The rarer line breaks of ``str.splitlines`` end no slice.  Each search
+    stops at a break or after ``_SLICE`` characters, so a text with few
+    ``"\n"`` is not read to its end once per slice.
+    """
+    while pos < len(text):
+        lf = text.find("\n", pos, pos + _SLICE)
+        cr = text.find("\r", pos, lf if lf >= 0 else pos + _SLICE)
+        if cr >= 0:
+            return cr + 1 + text.startswith("\n", cr + 1)
+        if lf >= 0:
+            return lf + 1
+        pos += _SLICE
+    return len(text)
 
 
 def _integers(tokens: list[str], lineno: int, what: str) -> list[int]:

@@ -28,7 +28,7 @@ class LkInvariant(_Record):
     __slots__ = ("divisors",)
 
     def __init__(self, divisors: tuple[int, ...] = ()):
-        super().__init__(divisors)
+        super().__init__(tuple(divisors))
         for d in self.divisors:
             if type(d) is not int:
                 raise TypeError(f"divisors must be ints, got {d!r}")
@@ -54,7 +54,7 @@ class AbelianGroup(_Record):
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
-        super().__init__(free_rank, torsion)
+        super().__init__(free_rank, tuple(torsion))
         if not {type(self.free_rank), *map(type, self.torsion)} <= {int}:
             raise TypeError(f"rank and torsion must be ints, got {self.free_rank!r}, {self.torsion!r}")
         if self.free_rank < 0:
@@ -77,7 +77,7 @@ def handlebody_linking(m: IntMatrix) -> LkInvariant:
 
     Separated components give a zero matrix, hence the {0} marker.
     """
-    return LkInvariant(tuple(elementary_divisors(m)))
+    return LkInvariant(elementary_divisors(m))
 
 
 def quotient_groups(m: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:

@@ -287,7 +287,7 @@ def trial_defects(m: IntMatrix, rng: SplitMix64) -> list[str]:
     a1, a2 = quotient_groups(m)
     if a2 != AbelianGroup(m.cols - len(transposed), tuple(d for d in transposed if d > 1)):
         defects.append("second quotient group differs from the one the transpose presents")
-    if reconstruct_lk(a1, len(base)) != LkInvariant(tuple(base)):
+    if reconstruct_lk(a1, len(base)) != LkInvariant(base):
         defects.append("invariant not recovered from the quotient group")
 
     return defects

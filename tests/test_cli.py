@@ -30,6 +30,13 @@ INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 WORKED_TEXT = "matrix 3 4\n-1 -1 0 2\n1 -3 -2 0\n0 0 2 -2\n"
 
 
+def process_env():
+    """The environment for an ``hlk`` process that imports the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_config(config, stdin_text=""):
     out, err = io.StringIO(), io.StringIO()
     code = run(config, stdin=io.StringIO(stdin_text), out=out, err=err)
@@ -97,6 +104,12 @@ class TestDetectFormat:
         text = Recording("# note\ncomponent h1\n" + "crossing a b +\n" * 100_000)
         assert detect_format(text) == "diagram"
         assert stops and max(stops) < 100
+        # Two of the three diagram fixtures open with a comment longer than the first slice.
+        header = ("# " + "x" * 220 + "\n") * 2
+        stops.clear()
+        text = Recording(header + "component h1\nloop a\ncomponent h2\nloop b\n" + "crossing a b +\n" * 80_000)
+        assert len(header) == 446 and detect_format(text) == "diagram"
+        assert stops and max(stops) < 2048
 
 
 class TestInvariantCommand:
@@ -440,8 +453,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting", [("LC_ALL", "C"), ("PYTHONIOENCODING", "latin-1")], ids="=".join)
     def test_undecodable_process_stdin_is_a_parse_error(self, setting):
         # Under either setting the process's text stdin would accept these bytes.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        env = process_env()
         env[setting[0]] = setting[1]
         done = subprocess.run([sys.executable, "-m", "hlk.cli", "invariant", "-"], env=env,
                               input=b"matrix 1 1\n5\n# caf\xe9\n", capture_output=True, timeout=60)
@@ -450,12 +462,39 @@ class TestExitCodes:
 
     def test_closed_process_stdin_is_a_usage_error(self):
         # With descriptor 0 closed, Python starts with sys.stdin set to None.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        env = process_env()
         done = subprocess.run(["sh", "-c", 'exec "$0" -m hlk.cli invariant - <&-', sys.executable],
                               env=env, capture_output=True, timeout=60)
         assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
         assert done.stderr == b"hlk invariant: error: standard input is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [
+        ["invariant", "worked_example.mat"], ["groups", "worked_example.hlk"],
+        ["snf", "worked_example.mat"], ["matrix", "hopf.hlk"], ["selftest", "--trials", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_process_stdout_on_a_full_device_is_a_usage_error(self, fixtures_dir, argv):
+        # Every write to /dev/full fails with ENOSPC.
+        argv = [str(fixtures_dir / arg) if "." in arg else arg for arg in argv]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "hlk.cli", *argv], env=process_env(),
+                                  stdout=full, stderr=subprocess.PIPE, timeout=60)
+        assert done.returncode == EXIT_USAGE
+        prefix = f"hlk {argv[0]}: error: cannot write the result: "
+        assert done.stderr.decode().startswith(prefix) and done.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("config", [CliConfig("invariant"), CliConfig("snf"), CliConfig("selftest", trials=2)],
+                             ids=lambda config: config.subcommand)
+    def test_write_error_is_a_usage_error(self, method, config):
+        def refuse(*args):
+            raise OSError(28, "No space left on device")
+
+        out, err = io.StringIO(), io.StringIO()
+        setattr(out, method, refuse)
+        assert run(config, stdin=io.StringIO(WORKED_TEXT), out=out, err=err) == EXIT_USAGE
+        prog = f"hlk {config.subcommand}"
+        assert err.getvalue() == f"{prog}: error: cannot write the result: [Errno 28] No space left on device\n"
 
 
 # --- the input layer as a whole ---------------------------------------------

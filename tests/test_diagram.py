@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlk.diagram as diagram
+import hlk.exactla as exactla
 from hlk.diagram import (
     Diagram,
     DiagramParseError,
@@ -125,7 +126,7 @@ LINES = [
 ]
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
 # The parser's slice size, then two so small that line breaks of every kind fall on slice edges.
-SLICES = [diagram._SLICE, 1, 7]
+SLICES = [exactla._SLICE, 1, 7]
 HEADS = [
     "",
     "component h1\nloop a\ncomponent h2\nloop b\n",
@@ -317,9 +318,9 @@ class TestParseDiagram:
     def test_slices_concatenate_to_the_lines(self, monkeypatch):
         breaks = BREAKS + ["\x0c", "\x1c", "\x1d", "\x1e", "\u2029"]
         text = "".join(line + brk for line in LINES for brk in breaks) + "loop z"
-        for slice_chars in range(1, 40):
-            monkeypatch.setattr(diagram, "_SLICE", slice_chars)
-            slices = list(diagram._sliced_lines(text))
+        for slice_chars in [*range(1, 40), 100, exactla._SLICE]:
+            monkeypatch.setattr(exactla, "_SLICE", slice_chars)
+            slices = list(exactla._sliced_lines(text))
             assert [line for lines in slices for line in lines] == text.splitlines()
 
 
@@ -331,11 +332,11 @@ class TestParseDiagramOnSmallSlices:
     parse = TestParseDiagram()
 
     def test_errors_carry_line_numbers(self, monkeypatch, slice_chars):
-        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        monkeypatch.setattr(exactla, "_SLICE", slice_chars)
         self.parse.test_errors_carry_line_numbers()
 
     def test_matches_the_line_by_line_parser(self, monkeypatch, slice_chars):
-        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        monkeypatch.setattr(exactla, "_SLICE", slice_chars)
         self.parse.test_matches_the_line_by_line_parser()
 
     @settings(max_examples=400, deadline=None)
@@ -344,16 +345,16 @@ class TestParseDiagramOnSmallSlices:
         text = head + "".join(line + brk for line, brk in lines)
         # Hypothesis refuses function-scoped fixtures such as monkeypatch.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(diagram, "_SLICE", slice_chars)
+            patch.setattr(exactla, "_SLICE", slice_chars)
             assert outcome(parse_diagram, text) == outcome(sequential_parse, text)
 
     def test_state_machine_runs_once_per_distinct_line(self, monkeypatch, slice_chars):
-        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        monkeypatch.setattr(exactla, "_SLICE", slice_chars)
         self.parse.test_state_machine_runs_once_per_distinct_line(monkeypatch)
 
     @pytest.mark.parametrize("head, line", COPIED)
     def test_copies_of_a_line_are_checked_once(self, monkeypatch, slice_chars, head, line):
-        monkeypatch.setattr(diagram, "_SLICE", slice_chars)
+        monkeypatch.setattr(exactla, "_SLICE", slice_chars)
         self.parse.test_copies_of_a_line_are_checked_once(monkeypatch, head, line)
 
 

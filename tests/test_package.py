@@ -132,3 +132,15 @@ def test_checking_code_lives_in_selftest():
         if any("selftest" in name.split(".") for name in imported_modules(tree))
     }
     assert importers == {"cli.py", "__init__.py"}
+
+
+def splitlines_calls(tree: ast.AST) -> list[ast.Call]:
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "splitlines"]
+
+
+def test_one_function_splits_text_into_lines():
+    # Where a line ends is part of the line grammar: matrix files, diagram
+    # files and the format sniff all take their lines from _sliced_lines.
+    sliced = next(node for node in MODULES["exactla.py"].body if getattr(node, "name", None) == "_sliced_lines")
+    assert len(splitlines_calls(sliced)) == 1
+    assert sum(len(splitlines_calls(tree)) for tree in MODULES.values()) == 1

@@ -82,6 +82,15 @@ def test_hash_is_the_field_tuple_hash(value, fields, other, text):
 
 
 @pytest.mark.parametrize("value, fields, other, text", CASES, ids=IDS)
+def test_lists_are_stored_as_tuples(value, fields, other, text):
+    as_lists = {name: list(x) if type(x) is tuple else x for name, x in fields.items()}
+    built = type(value)(**as_lists)
+    assert built == value and repr(built) == text
+    if type(value) is not Diagram:
+        assert hash(built) == hash(value)
+
+
+@pytest.mark.parametrize("value, fields, other, text", CASES, ids=IDS)
 def test_repr(value, fields, other, text):
     assert repr(value) == text
 

@@ -1,8 +1,10 @@
 import io
+import re
 
 import pytest
 
 from hlk import SplitMix64, selftest
+from hlk.cli import EXIT_SELFTEST, main
 from hlk.exactla import IntMatrix, SNFResult, elementary_divisors, smith_normal_form
 from hlk.invariant import AbelianGroup, quotient_groups
 from hlk.selftest import random_matrix, random_slide, run_selftest, snf_defects, trial_defects
@@ -105,3 +107,31 @@ class TestRunSelftest:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             run_selftest(0, 0)
+
+    @pytest.mark.parametrize("name, broken, kinds", [
+        ("elementary_divisors", lambda real: lambda m: real(m)[:-1], {
+            "divisors changed under unimodular multiplication", "divisors changed under transposition",
+            "divisors changed under a slide move",
+            "second quotient group differs from the one the transpose presents",
+        }),
+        ("minor_gcd_profile", lambda real: lambda m: [2 * x for x in real(m)] + [1], {
+            "minor-gcd oracle disagrees at k=#", "minor-gcd oracle nonzero beyond rank at k=#",
+        }),
+    ], ids=["elementary_divisors", "minor_gcd_profile"])
+    def test_failing_trials_are_reported(self, monkeypatch, capsys, name, broken, kinds):
+        monkeypatch.setattr(selftest, name, broken(getattr(selftest, name)))
+        rng, expected, failing = SplitMix64(3), [], 0
+        for trial in range(12):
+            m = random_matrix(rng, 5, 5, 9)
+            defects = trial_defects(m, rng)
+            failing += bool(defects)
+            expected += [f"trial {trial}: {defect} on {m!r}" for defect in defects]
+        assert 0 < failing
+        assert {re.sub(r"[0-9]+", "#", line.split(": ", 1)[1].split(" on ")[0]) for line in expected} == kinds
+
+        out, err = io.StringIO(), io.StringIO()
+        assert run_selftest(12, 3, out=out, err=err) == failing
+        assert out.getvalue() == f"{12 - failing}/12 passed\n"
+        assert err.getvalue().splitlines() == expected
+        assert main(["selftest", "--trials", "12", "--seed", "3"]) == EXIT_SELFTEST
+        assert capsys.readouterr() == (out.getvalue(), err.getvalue())
