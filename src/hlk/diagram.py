@@ -15,7 +15,8 @@ declaration order fixes the row/column order of the linking matrix.
 """
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
+from itertools import chain, islice
 from types import MappingProxyType
 
 from .exactla import IntMatrix, _ParseError, _Record, _sliced_lines, _tokens
@@ -97,19 +98,35 @@ class Diagram(_Record):
 def parse_diagram(text: str) -> Diagram:
     """Parse diagram text; raises DiagramParseError with a line number.
 
-    Each copy of a component or loop line acts, so ``_tally`` returns None at
-    a repeated one.  Then the second copy of each such line gets one added
-    line break and the later copies two (``_tokens`` strips them), and the
-    lines are counted and tallied again: a second loop or third component
-    copy fails its own checks, with its line number, before it could return
-    None again.
+    The text is split and counted once.  A later copy of a component or loop
+    line acts again (it names the second component or fails), so the count
+    records where each such copy stands, walking in Python only the slices
+    that hold one, and ``_tally`` checks it among the distinct lines there.
     """
-    counts = _count_lines(text)
-    parts = _tally(text, counts)
-    if parts is None:
-        repeated = [l for l, n in counts.items() if n > 1 and l.lstrip().startswith(("component", "loop"))]
-        counts = _count_lines(text, repeated)
-        parts = _tally(text, counts, repeated)
+    counts: Counter[str] = Counter()
+    declarations: set[str] = set()
+    # (distinct lines before it, line, line number) of the first two later
+    # copies of a declaration: the tally stops at the second, if not before.
+    copies: list[tuple[int, str, int]] = []
+    for lines in _sliced_lines(text):
+        known = len(counts)
+        counts.update(lines)
+        new = list(islice(reversed(counts), len(counts) - known))
+        # One substring search keeps the per-line test off slices of crossings only.
+        if "component" in (joined := "\n".join(new)) or "loop" in joined:
+            declarations.update(l for l in new if l.lstrip().startswith(("component", "loop")))
+        if len(copies) < 2 and sum(map(counts.__getitem__, declarations)) > len(declarations) + len(copies):
+            fresh, distinct = set(new), known
+            for lineno, line in enumerate(lines, counts.total() - len(lines) + 1):
+                if line in fresh:
+                    fresh.remove(line)
+                    distinct += 1
+                elif line in declarations:
+                    copies.append((distinct, line, lineno))
+            del copies[2:]
+        # Free this slice's lines before the next slice is split.
+        del lines
+    parts = _tally(text, counts, copies)
 
     # Duplicate and unknown loop ids were caught above with their line; the
     # constructor states the end-of-input rules (two components, none empty).
@@ -119,58 +136,38 @@ def parse_diagram(text: str) -> Diagram:
         raise DiagramParseError(str(exc)) from None
 
 
-def _mark_copies(lines: list[str], seen: dict[str, int]) -> list[str]:
-    """``lines`` with a line break added to each copy of a line in ``seen``
-    after its first, two from its third on; ``seen`` counts the copies so far.
-
-    One pass, and in Python only when the slice holds a line of ``seen``.
-    """
-    if seen and not seen.keys().isdisjoint(lines):
-        for i, line in enumerate(lines):
-            if line in seen:
-                lines[i] = line + "\n" * min(seen[line], 2)
-                seen[line] += 1
-    return lines
-
-
-def _count_lines(text: str, repeated: Iterable[str] = ()) -> Counter[str]:
-    """How often each line occurs, in first-occurrence order, with the copies
-    of ``repeated`` marked by ``_mark_copies``."""
-    counts: Counter[str] = Counter()
-    seen = dict.fromkeys(repeated, 0)
-    for lines in _sliced_lines(text):
-        counts.update(_mark_copies(lines, seen))
-        # Free this slice's lines before the next slice is split.
-        del lines
-    return counts
-
-
-def _line_number(text: str, line: str, repeated: Iterable[str]) -> int:
-    """The number of the first line equal to ``line``, lines as ``_count_lines`` sees them."""
+def _line_number(text: str, line: str) -> int:
+    """The number of the first line equal to ``line``."""
     before = 0
-    seen = dict.fromkeys(repeated, 0)
     for lines in _sliced_lines(text):
         try:
-            return before + _mark_copies(lines, seen).index(line) + 1
+            return before + lines.index(line) + 1
         except ValueError:
             before += len(lines)
 
 
 def _tally(text: str, counts: Mapping[str, int],
-           repeated: Iterable[str] = ()) -> tuple[tuple[str, ...], tuple[Loop, ...], dict] | None:
-    """Names, loops and sums, checking each distinct line of ``counts`` once.
+           copies: list[tuple[int, str, int]]) -> tuple[tuple[str, ...], tuple[Loop, ...], dict]:
+    """Names, loops and sums, checking each distinct line of ``counts`` once
+    and each copy ``(k, line, line number)`` after the first ``k`` of them.
 
     A crossing adds its sign times its count: its repeats are valid when it is,
-    as the declared loops only grow.  A component or loop line that passes its
-    checks but repeats returns None instead.  An error names the line of
-    ``text`` where the bad line first occurs.
+    as the declared loops only grow.  An error names the line of ``text``
+    where the bad line first occurs, or the copy's own line.
     """
     component_names: list[str] = []
     loops: list[Loop] = []
     sums: dict[tuple[str, str], int] = {}
     declared: set[str] = set()
+    # A copy stands in the stream as (line, minus its line number).
+    items = iter(counts.items())
+    stream = []
+    done = 0
+    for k, line, lineno in copies:
+        stream += islice(items, k - done), [(line, -lineno)]
+        done = k
     try:
-        for raw, count in counts.items():
+        for raw, count in chain(*stream, items):
             if not (tokens := _tokens(raw)):
                 continue
             keyword = tokens[0]
@@ -190,8 +187,6 @@ def _tally(text: str, counts: Mapping[str, int],
                     raise DiagramParseError("expected 'component <name>'")
                 if len(component_names) == 2:
                     raise DiagramParseError("more than two components")
-                if count > 1:
-                    return None
                 component_names.append(tokens[1])
             elif keyword == "loop":
                 if len(tokens) != 2:
@@ -201,14 +196,13 @@ def _tally(text: str, counts: Mapping[str, int],
                 name = tokens[1]
                 if name in declared:
                     raise DiagramParseError(f"duplicate loop id {name!r}")
-                if count > 1:
-                    return None
                 declared.add(name)
                 loops.append(Loop(name, len(component_names) - 1))
             else:
                 raise DiagramParseError(f"unknown directive {keyword!r}")
     except DiagramParseError as exc:
-        raise DiagramParseError(str(exc), line=_line_number(text, raw, repeated)) from None
+        line = -count if count < 0 else _line_number(text, raw)
+        raise DiagramParseError(str(exc), line=line) from None
     return tuple(component_names), tuple(loops), sums
 
 

@@ -120,6 +120,7 @@ def outcome(parse, text: str) -> tuple:
 LINES = [
     "component h1", "component h2", "component  h1", "component h1 x", "component",
     "loop a", "loop  a", "loop a ", "loop b", "loop c", "loop", "loop a b", "component h1\t",
+    "\x1fcomponent h1", "\u3000loop a",
     "crossing a b +", "crossing  a b +", "crossing b a -", "crossing a c +",
     "crossing c c -", "crossing a b *", "crossing a", "crossing a zz +",
     "knot x", "# c", "#", "", "  ",
@@ -131,6 +132,7 @@ HEADS = [
     "",
     "component h1\nloop a\ncomponent h2\nloop b\n",
     "component h\nloop a\ncomponent h\nloop b\nloop c\n",
+    "component h\nloop a\nloop c\ncrossing a c +\ncomponent h\nloop b\n",
 ]
 
 ANY_LINES = st.lists(st.tuples(st.sampled_from(LINES), st.sampled_from(BREAKS)), max_size=30)
@@ -233,6 +235,7 @@ class TestParseDiagram:
             ("component h1\nknot a\n", 2),
             # The third component line repeats the first; the second differs only in spacing.
             ("component h\nloop a\ncomponent h \nloop b\ncomponent h\n", 5),
+            ("component h\ncomponent h\ncomponent h\n", 3),
         ]
         for text, line in cases:
             with pytest.raises(DiagramParseError) as info:
@@ -291,6 +294,25 @@ class TestParseDiagram:
         assert outcome(parse_diagram, text) == expected
         assert calls[0] <= 10
         assert expected[0] == ("diagram" if line == "# c" else "error")
+
+    def test_same_named_components_are_split_once(self, monkeypatch):
+        slices = [0]
+        sliced_lines = diagram._sliced_lines
+
+        def counting(text):
+            for lines in sliced_lines(text):
+                slices[0] += 1
+                yield lines
+
+        text = many_crossings()
+        same_named = text.replace("component h2", "component h1")
+        expected = outcome(sequential_parse, same_named)
+        assert expected[1] == ("h1", "h1")
+        monkeypatch.setattr(diagram, "_sliced_lines", counting)
+        parse_diagram(text)
+        distinct_named, slices[0] = slices[0], 0
+        assert outcome(parse_diagram, same_named) == expected
+        assert slices[0] == distinct_named
 
     @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
     def test_memory_is_bounded_by_a_slice(self, brk):
