@@ -4,7 +4,8 @@ Subcommands: ``invariant`` and ``groups`` accept a diagram or matrix file
 (told apart by the first significant token), ``matrix`` turns a diagram
 into its linking matrix, ``snf`` prints the full reduction, ``selftest``
 runs the randomized property suite.  Exit codes: 0 success, 1 usage or
-flag error, 2 parse error, 3 invalid diagram, 4 self-test failure.
+flag error, 2 parse error or an input too large for memory, 3 invalid
+diagram, 4 self-test failure.
 """
 
 import argparse
@@ -149,63 +150,68 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
         failures = run_selftest(config.trials, config.seed, verbose=config.verbose, out=summary, err=err)
         return emit(summary.getvalue(), EXIT_SELFTEST if failures else EXIT_OK)
 
+    # Reading, parsing, reducing and formatting can each need memory in
+    # proportion to the input; running out is reported, not raised.
     try:
-        if config.input_path in (None, "-"):
-            if stdin is None and sys.stdin is None:
-                # Python sets sys.stdin to None when descriptor 0 is closed.
-                return fail(EXIT_USAGE, "standard input is closed")
-            text = sys.stdin.buffer.read().decode("utf-8") if stdin is None else stdin.read()
-        else:
-            with open(config.input_path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-    except OSError as exc:
-        return fail(EXIT_USAGE, exc)
-    except UnicodeDecodeError as exc:
-        return fail(EXIT_PARSE, f"input is not UTF-8: {exc}")
+        try:
+            if config.input_path in (None, "-"):
+                if stdin is None and sys.stdin is None:
+                    # Python sets sys.stdin to None when descriptor 0 is closed.
+                    return fail(EXIT_USAGE, "standard input is closed")
+                text = sys.stdin.buffer.read().decode("utf-8") if stdin is None else stdin.read()
+            else:
+                with open(config.input_path, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+        except OSError as exc:
+            return fail(EXIT_USAGE, exc)
+        except UnicodeDecodeError as exc:
+            return fail(EXIT_PARSE, f"input is not UTF-8: {exc}")
 
-    kind = detect_format(text)
-    if kind is None:
-        expected = "expected a 'component' or 'matrix' line first"
-        return fail(EXIT_PARSE, f"input is neither a diagram nor a matrix file ({expected})")
-    if config.subcommand == "matrix" and kind != "diagram":
-        return fail(EXIT_USAGE, "this subcommand takes a diagram file")
+        kind = detect_format(text)
+        if kind is None:
+            expected = "expected a 'component' or 'matrix' line first"
+            return fail(EXIT_PARSE, f"input is neither a diagram nor a matrix file ({expected})")
+        if config.subcommand == "matrix" and kind != "diagram":
+            return fail(EXIT_USAGE, "this subcommand takes a diagram file")
 
-    try:
-        if kind == "diagram":
-            m = linking_matrix(parse_diagram(text))
-        else:
-            m = parse_matrix(text)
-    except (DiagramParseError, MatrixParseError) as exc:
-        return fail(EXIT_PARSE, exc)
-    except InvalidDiagramError as exc:
-        return fail(EXIT_INVALID, exc)
+        try:
+            if kind == "diagram":
+                m = linking_matrix(parse_diagram(text))
+            else:
+                m = parse_matrix(text)
+        except (DiagramParseError, MatrixParseError) as exc:
+            return fail(EXIT_PARSE, exc)
+        except InvalidDiagramError as exc:
+            return fail(EXIT_INVALID, exc)
 
-    # Results are exact, so printing them lifts Python's int-to-str digit limit;
-    # the parser above still refuses entries over it.  The caller's setting is
-    # restored afterwards.  Each result is formatted whole before it is written,
-    # so a failure leaves stdout empty.
-    set_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_digits:
-        previous = sys.get_int_max_str_digits()
-        set_digits(0)
-    try:
-        if config.subcommand == "invariant":
-            result = f"Lk = {handlebody_linking(m)}\n"
-        elif config.subcommand == "matrix":
-            result = format_matrix(m)
-        elif config.subcommand == "groups":
-            first, second = quotient_groups(m)
-            result = f"A1 = {first}\nA2 = {second}\nl = {m.rows - first.free_rank}\n"
-        else:  # snf
-            if max(m.shape) > _SNF_MAX_DIM:
-                limit = f"at most {_SNF_MAX_DIM} rows and {_SNF_MAX_DIM} columns"
-                return fail(EXIT_PARSE, f"the matrix is {m.rows} x {m.cols}; snf takes {limit}")
-            r = smith_normal_form(m)
-            blocks = (("D", r.d), ("U", r.u), ("V", r.v))
-            result = "".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks)
-    finally:
+        # Results are exact, so printing them lifts Python's int-to-str digit limit;
+        # the parser above still refuses entries over it.  The caller's setting is
+        # restored afterwards.  Each result is formatted whole before it is written,
+        # so a failure leaves stdout empty.
+        set_digits = getattr(sys, "set_int_max_str_digits", None)
         if set_digits:
-            set_digits(previous)
+            previous = sys.get_int_max_str_digits()
+            set_digits(0)
+        try:
+            if config.subcommand == "invariant":
+                result = f"Lk = {handlebody_linking(m)}\n"
+            elif config.subcommand == "matrix":
+                result = format_matrix(m)
+            elif config.subcommand == "groups":
+                first, second = quotient_groups(m)
+                result = f"A1 = {first}\nA2 = {second}\nl = {m.rows - first.free_rank}\n"
+            else:  # snf
+                if max(m.shape) > _SNF_MAX_DIM:
+                    limit = f"at most {_SNF_MAX_DIM} rows and {_SNF_MAX_DIM} columns"
+                    return fail(EXIT_PARSE, f"the matrix is {m.rows} x {m.cols}; snf takes {limit}")
+                r = smith_normal_form(m)
+                blocks = (("D", r.d), ("U", r.u), ("V", r.v))
+                result = "".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks)
+        finally:
+            if set_digits:
+                set_digits(previous)
+    except MemoryError:
+        return fail(EXIT_PARSE, "the input is too large for memory")
     return emit(result, EXIT_OK)
 
 

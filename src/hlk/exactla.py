@@ -211,15 +211,6 @@ def _transpose(a):
     return [list(c) for c in zip(*a)]
 
 
-def _add_row(a, src, dst, k, start):
-    """Add ``k`` times row ``src`` to row ``dst``; row ``src`` is zero left of ``start``."""
-    ms, md = a[src], a[dst]
-    for idx in range(start, len(ms)):
-        x = ms[idx]
-        if x:
-            md[idx] += k * x
-
-
 def _mix_rows(b, i, p, q, r, s):
     """Rows (i, i+1) become (p*row_i + q*row_i+1, r*row_i + s*row_i+1)."""
     x, y = b[i], b[i + 1]
@@ -282,18 +273,27 @@ def _diagonalize(a, budget):
             return t
         pi, pj = pivot
         a[t], a[pi] = a[pi], a[t]
+        # Rows above t are zero from column t on, so column swaps skip them.
         if pj != t:
-            for row in a:
+            for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
+        start = t + 1
         while True:
-            p = a[t][t]
-            improved = False
-            for i in range(t + 1, m):
-                x = a[i][t]
+            # Rows t + 1 .. start - 1 are zero in column t: the sweep swaps at
+            # the first row left with a nonzero remainder, so it resumes there.
+            prow = a[t]
+            p = prow[t]
+            for i in range(start, m):
+                row = a[i]
+                x = row[t]
                 if x:
                     q = x // p
                     if q:
-                        _add_row(a, t, i, -q, t)
+                        # prow is zero left of column t.
+                        for j in range(t, n):
+                            y = prow[j]
+                            if y:
+                                row[j] -= q * y
                         spent += q.bit_length()
                         if spent > budget:
                             block = _hermite([row[t:] for row in a[t:]], n - t)
@@ -301,32 +301,30 @@ def _diagonalize(a, budget):
                             for row, done in zip(a[t:], block):
                                 row[t:] = done
                             return t + r
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        improved = True
+                    if row[t]:
+                        a[t], a[i] = row, prow
+                        start = i
                         break
-            if improved:
-                continue
-            # Column t is now zero outside row t, so subtracting multiples of
-            # it changes only row t.
-            row = a[t]
-            for j in range(t + 1, n):
-                if row[j]:
-                    row[j] %= p
-                    if row[j]:
-                        for r in a:
-                            r[t], r[j] = r[j], r[t]
-                        improved = True
-                        break
-            if improved:
-                continue
-            break
+            else:
+                # Column t is now zero outside row t, so subtracting multiples
+                # of it changes only row t.
+                for j in range(t + 1, n):
+                    if prow[j]:
+                        prow[j] %= p
+                        if prow[j]:
+                            for row in a[t:]:
+                                row[t], row[j] = row[j], row[t]
+                            start = t + 1
+                            break
+                else:
+                    break
         t += 1
 
 
-def _reduce_row(row, basis, leads, start):
-    """Take ``row``'s entries at the pivots ``basis[start:]`` into [0, pivot), in place."""
-    for b, c in zip(basis[start:], leads[start:]):
+def _reduce_row(row, pivots):
+    """Take ``row``'s entries at the ``(basis row, pivot column)`` pairs ``pivots``
+    into [0, pivot), in place."""
+    for b, c in pivots:
         q = row[c] // b[c]
         if q:
             row[c:] = [x - q * y for x, y in zip(row[c:], b[c:])]
@@ -350,11 +348,13 @@ def _hermite(rows, n, full_rank=False):
 
     def reduce_above(i):
         # basis[:i] is reduced against basis[i + 1:]; only an entry outside [0, p) changes it.
+        # Reducing those rows leaves basis[i:] as it is, so one pivot list serves them all.
         c = leads[i]
         p = basis[i][c]
+        pivots = list(zip(basis[i:], leads[i:]))
         for b in basis[:i]:
             if not 0 <= b[c] < p:
-                _reduce_row(b, basis, leads, i)
+                _reduce_row(b, pivots)
 
     for row in rows:
         end = 1 + max(compress(range(full), row), default=-1)
@@ -369,7 +369,7 @@ def _hermite(rows, n, full_rank=False):
             if i == len(leads) or lead < leads[i]:
                 if row[lead] < 0:
                     row[lead:] = [-x for x in row[lead:]]
-                _reduce_row(row, basis, leads, i)
+                _reduce_row(row, zip(basis[i:], leads[i:]))
                 basis.insert(i, row)
                 leads.insert(i, lead)
                 reduce_above(i)
@@ -386,10 +386,10 @@ def _hermite(rows, n, full_rank=False):
                 ys, zs = pivot[lead:], row[lead:]
                 pivot[lead:] = [s * y + t * z for y, z in zip(ys, zs)]
                 row[lead:] = [pg * z - xg * y for y, z in zip(ys, zs)]
-                _reduce_row(pivot, basis, leads, i + 1)
+                _reduce_row(pivot, zip(basis[i + 1:], leads[i + 1:]))
                 reduce_above(i)
             # Subtract x // p times the pivot row (none after a gcd step), then reduce further.
-            _reduce_row(row, basis, leads, i)
+            _reduce_row(row, zip(basis[i:], leads[i:]))
             i += 1
         else:
             if full_rank:

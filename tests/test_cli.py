@@ -431,6 +431,31 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert "odd" in err
 
+    def test_crossings_within_one_component_are_ignored(self):
+        # (a, c) has an odd sum, but both loops belong to h1: no exit 3.
+        text = ("component h1\nloop a\nloop c\ncomponent h2\nloop b\n"
+                "crossing a c +\ncrossing a b +\ncrossing b a +\n")
+        assert run_config(CliConfig("invariant"), text) == (EXIT_OK, "Lk = {1}\n", "")
+
+    @pytest.mark.parametrize("subcommand, target", [
+        ("groups", "read"), ("invariant", "parse_matrix"),
+        ("invariant", "handlebody_linking"), ("snf", "format_matrix"),
+    ])
+    def test_out_of_memory_is_a_parse_error(self, monkeypatch, subcommand, target):
+        # Reading, parsing, reducing and formatting each report it without a traceback.
+        def exhaust(*args):
+            raise MemoryError
+
+        stdin = io.StringIO(WORKED_TEXT)
+        if target == "read":
+            stdin.read = exhaust
+        else:
+            monkeypatch.setattr(cli, target, exhaust)
+        out, err = io.StringIO(), io.StringIO()
+        assert run(CliConfig(subcommand), stdin=stdin, out=out, err=err) == EXIT_PARSE
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"hlk {subcommand}: error: the input is too large for memory\n"
+
     def test_diagnostics_go_to_stderr(self):
         code, out, err = run_config(CliConfig("groups"), "nonsense\n")
         assert code == EXIT_PARSE and out == "" and err != ""

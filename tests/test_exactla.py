@@ -763,6 +763,137 @@ class TestHermiteKernel:
         assert rows == [[0, 0, 1, 0], [0, 0, 0, 0]]
 
 
+def reference_add_row(a, src, dst, k, start):
+    """The staircase's row step before ``exactla._diagonalize`` took it inline."""
+    ms, md = a[src], a[dst]
+    for idx in range(start, len(ms)):
+        x = ms[idx]
+        if x:
+            md[idx] += k * x
+
+
+def reference_diagonalize(a, budget):
+    """The staircase before its column sweep resumed at the row it swapped in;
+    ``exactla._diagonalize`` must take the same steps and hand off at the same pivot."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    t = 0
+    spent = 0
+    while True:
+        pivot = exactla._min_abs_entry(a, t, m, n)
+        if pivot is None:
+            return t
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            p = a[t][t]
+            improved = False
+            for i in range(t + 1, m):
+                x = a[i][t]
+                if x:
+                    q = x // p
+                    if q:
+                        reference_add_row(a, t, i, -q, t)
+                        spent += q.bit_length()
+                        if spent > budget:
+                            block = exactla._hermite([row[t:] for row in a[t:]], n - t)
+                            r = exactla._alternate(block, m - t, n - t)
+                            for row, done in zip(a[t:], block):
+                                row[t:] = done
+                            return t + r
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        improved = True
+                        break
+            if improved:
+                continue
+            row = a[t]
+            for j in range(t + 1, n):
+                if row[j]:
+                    row[j] %= p
+                    if row[j]:
+                        for r in a:
+                            r[t], r[j] = r[j], r[t]
+                        improved = True
+                        break
+            if improved:
+                continue
+            break
+        t += 1
+
+
+# The `divisors` benchmark anchors (splitmix64 seed, rows, cols, entry bound).
+DIVISOR_ANCHORS = [
+    (926, 25, 25, 100), (936, 35, 35, 1), (931, 30, 30, 100),
+    (941, 40, 40, 1), (951, 20, 30, 100), (951, 30, 20, 100),
+]
+
+
+class TestStaircase:
+    """exactla._diagonalize against the reference above."""
+
+    @staticmethod
+    def cases():
+        """The six `divisors` anchors, then 360 seeded inputs up to 9 x 9."""
+        for source in DIVISOR_ANCHORS:
+            yield splitmix_matrix(*source).to_rows()
+        rng = SplitMix64(1982)
+
+        def draw(rows, cols, bound):
+            return [[rng.below(2 * bound + 1) - bound for _ in range(cols)] for _ in range(rows)]
+
+        for case in range(360):
+            m, n, bound = 1 + rng.below(9), 1 + rng.below(9), (1, 9, 100)[case % 3]
+            if case % 4:
+                yield draw(m, n, bound)
+            else:
+                # Rank at most k < min(m, n): a product of m x k and k x n factors.
+                k = rng.below(min(m, n))
+                x, y = draw(m, k, bound), draw(k, n, 2)
+                yield [[sum(p * q for p, q in zip(r, col)) for col in zip(*y)] if k else [0] * n
+                       for r in x]
+
+    def test_matches_the_reference(self, monkeypatch):
+        # The same working matrix, rank and hand-off block at every budget.
+        hand_offs = []
+        alternate = exactla._alternate
+
+        def record(block, rows, cols):
+            hand_offs.append(([list(r) for r in block], rows, cols))
+            return alternate(block, rows, cols)
+
+        monkeypatch.setattr(exactla, "_alternate", record)
+
+        def run(diagonalize, a, budget):
+            hand_offs.clear()
+            a = [list(r) for r in a]
+            rank = diagonalize(a, budget)
+            return a, rank, list(hand_offs)
+
+        seen = collections.Counter()
+        for a in self.cases():
+            m, n = len(a), len(a[0])
+            for budget in (0, 5, 50, 500, 50 * m * min(m, n)):
+                got = run(exactla._diagonalize, a, budget)
+                assert got == run(reference_diagonalize, a, budget), (a, budget)
+                seen["handed off" if got[2] else "finished", got[1] < min(m, n)] += 1
+        assert sum(seen.values()) == 5 * 366
+        assert min(seen.values()) > 50 and len(seen) == 4, seen
+
+    def test_anchors_hand_off_where_they_did(self, monkeypatch):
+        # The pivot at which each anchor passes the default budget, as taken
+        # before the sweep resumed at the swapped row.
+        shapes = TestDivisorsOnlyPath.record_hand_offs(monkeypatch)
+        for source, t in zip(DIVISOR_ANCHORS, (10, 27, 8, 27, 8, 7)):
+            m = splitmix_matrix(*source)
+            shapes.clear()
+            elementary_divisors(m)
+            assert shapes == [(m.rows - t, m.cols - t)], source
+
+
 # --- determinant -----------------------------------------------------------
 
 
