@@ -118,10 +118,11 @@ def detect_format(text: str) -> str | None:
 def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     """Execute one invocation; returns the exit code.
 
-    Results go to ``out``, diagnostics to ``err`` (defaulting to the
-    process streams).  A caller's ``stdin`` text stream is read as it is;
-    without one, the process's standard input is decoded strictly as UTF-8,
-    like a file, whatever the locale.
+    Results go to ``out``, diagnostics to ``err`` (defaulting to the process
+    streams); a diagnostic that cannot be written changes no exit code.  A
+    caller's ``stdin`` text is read as it is; a file or the process's standard
+    input is read as bytes and decoded strictly as UTF-8, with no newline
+    translation, whatever the locale.
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
@@ -129,7 +130,8 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     prog = f"hlk {config.subcommand}" if known else "hlk"
 
     def fail(code: int, message: object) -> int:
-        print(f"{prog}: error: {message}", file=err)
+        with suppress(OSError):  # a diagnostic that cannot be written changes no exit code
+            print(f"{prog}: error: {message}", file=err)
         return code
 
     def emit(result: str, code: int) -> int:
@@ -160,8 +162,8 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
                     return fail(EXIT_USAGE, "standard input is closed")
                 text = sys.stdin.buffer.read().decode("utf-8") if stdin is None else stdin.read()
             else:
-                with open(config.input_path, "r", encoding="utf-8") as handle:
-                    text = handle.read()
+                with open(config.input_path, "rb") as handle:
+                    text = handle.read().decode("utf-8")
         except OSError as exc:
             return fail(EXIT_USAGE, exc)
         except UnicodeDecodeError as exc:

@@ -576,35 +576,22 @@ def _sliced_lines(text: str) -> Iterator[list[str]]:
 
     The first slice takes at least ``min(64, _SLICE)`` characters and each
     later one 16 times as many as the one before, up to ``_SLICE``.  A slice
-    ends just after a line break (or at the end of the text) and never
-    between the two characters of a ``"\r\n"``, so the lists concatenate to
-    ``text.splitlines()``.
+    ends just after the next ``"\n"``, ``"\r\n"`` or lone ``"\r"`` (or at the
+    end of the text), so the lists concatenate to ``text.splitlines()``.  The
+    next ``"\n"`` is kept from cut to cut and ``"\r"`` is looked for only up
+    to it, so no character is searched more than twice.
     """
-    start, size = 0, min(64, _SLICE)
+    start, size, lf = 0, min(64, _SLICE), -1
     while start < len(text):
-        end = _slice_end(text, start + size - 1)
+        cut = start + size - 1
+        if lf < cut:
+            lf = text.find("\n", cut)
+            lf = len(text) if lf < 0 else lf
+        cr = text.find("\r", cut, lf)
+        end = cr + 1 + text.startswith("\n", cr + 1) if cr >= 0 else lf + 1
         # No name holds the list here, so the caller can free it before the next split.
         yield text[start:end].splitlines()
         start, size = end, min(16 * size, _SLICE)
-
-
-def _slice_end(text: str, pos: int) -> int:
-    """Just past the first ``"\n"``, ``"\r\n"`` or lone ``"\r"`` from ``pos`` on,
-    or the end of the text.
-
-    The rarer line breaks of ``str.splitlines`` end no slice.  Each search
-    stops at a break or after ``_SLICE`` characters, so a text with few
-    ``"\n"`` is not read to its end once per slice.
-    """
-    while pos < len(text):
-        lf = text.find("\n", pos, pos + _SLICE)
-        cr = text.find("\r", pos, lf if lf >= 0 else pos + _SLICE)
-        if cr >= 0:
-            return cr + 1 + text.startswith("\n", cr + 1)
-        if lf >= 0:
-            return lf + 1
-        pos += _SLICE
-    return len(text)
 
 
 def _integers(tokens: list[str], lineno: int, what: str) -> list[int]:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,12 +23,15 @@ from hlk.cli import (
     main,
     run,
 )
+from conftest import FIXTURES
 from hlk import SplitMix64
 from hlk.exactla import IntMatrix, _significant_lines, format_matrix, parse_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 WORKED_TEXT = "matrix 3 4\n-1 -1 0 2\n1 -3 -2 0\n0 0 2 -2\n"
+# A diagram whose one crossing leaves an odd sum between the components.
+ODD_TEXT = "component h1\nloop a\ncomponent h2\nloop b\ncrossing a b +\n"
 
 
 def process_env():
@@ -426,8 +430,7 @@ class TestExitCodes:
         assert code == EXIT_PARSE
 
     def test_invalid_diagram(self):
-        text = "component h1\nloop a\ncomponent h2\nloop b\ncrossing a b +\n"
-        code, _, err = run_config(CliConfig("invariant"), text)
+        code, _, err = run_config(CliConfig("invariant"), ODD_TEXT)
         assert code == EXIT_INVALID
         assert "odd" in err
 
@@ -521,6 +524,35 @@ class TestExitCodes:
         prog = f"hlk {config.subcommand}"
         assert err.getvalue() == f"{prog}: error: cannot write the result: [Errno 28] No space left on device\n"
 
+    @pytest.mark.parametrize("config, text, code", [
+        (CliConfig("invariant"), "matrix 2 2\n1 2\n", EXIT_PARSE),
+        (CliConfig("invariant"), ODD_TEXT, EXIT_INVALID),
+        (CliConfig("selftest", trials=3, verbose=True), "", EXIT_OK),
+    ], ids=["parse", "invalid", "selftest"])
+    def test_unwritable_diagnostic_changes_no_exit_code(self, config, text, code):
+        def refuse(*args):
+            raise OSError(28, "No space left on device")
+
+        out, err = io.StringIO(), io.StringIO()
+        err.write = refuse
+        assert run(config, stdin=io.StringIO(text), out=out, err=err) == code
+        assert out.getvalue() == run_config(config, text)[1]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv, text, expected", [
+        (["invariant"], "matrix 2 2\n1 2\n", (EXIT_PARSE, b"")),
+        (["invariant"], ODD_TEXT, (EXIT_INVALID, b"")),
+        (["selftest", "--trials", "3", "--verbose"], "", (EXIT_OK, b"3/3 passed\n")),
+        # Stdout on the full device as well: the result's write error decides.
+        (["invariant"], WORKED_TEXT, (EXIT_USAGE, None)),
+    ], ids=["parse", "invalid", "selftest", "result"])
+    def test_process_stderr_on_a_full_device_changes_no_exit_code(self, argv, text, expected):
+        with open("/dev/full", "w") as full:
+            stdout = full if expected[1] is None else subprocess.PIPE
+            done = subprocess.run([sys.executable, "-m", "hlk.cli", *argv], env=process_env(),
+                                  input=text.encode(), stdout=stdout, stderr=full, timeout=60)
+        assert (done.returncode, done.stdout) == expected
+
 
 # --- the input layer as a whole ---------------------------------------------
 
@@ -558,3 +590,68 @@ class TestInputLayer:
             assert err == ""
         else:
             assert out == "" and err.startswith(f"hlk {subcommand}: error: ")
+
+
+# Files and the process's standard input go through one decode: strict UTF-8
+# bytes with no newline translation.  Lines end where the scanner ends them.
+INPUTS = {
+    "worked_example.hlk": (FIXTURES / "worked_example.hlk").read_bytes(),
+    "worked_example.mat": (FIXTURES / "worked_example.mat").read_bytes(),
+    "parse_error.hlk": b"component h1\nloop e1\n\n# e1 only\ncomponent h2\nloop f1\ncrossing e1 f1 *\n",
+    "undecodable.mat": b"matrix 1 1\n# caf\xe9\n5\n",
+}
+
+
+class TestFilesAndStdin:
+    @staticmethod
+    def outcomes(monkeypatch, path, data):
+        """``(code, stdout, stderr)`` of each subcommand, from the file, then from stdin."""
+        path.write_bytes(data)
+        from_file, from_stdin = [], []
+        for subcommand in ["invariant", "groups", "matrix", "snf"]:
+            from_file.append(run_config(CliConfig(subcommand, str(path))))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            out, err = io.StringIO(), io.StringIO()
+            from_stdin.append((run(CliConfig(subcommand), out=out, err=err), out.getvalue(), err.getvalue()))
+        return from_file, from_stdin
+
+    @pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=repr)
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_files_and_stdin_agree(self, monkeypatch, tmp_path, name, brk):
+        lf_file, lf_stdin = self.outcomes(monkeypatch, tmp_path / name, INPUTS[name])
+        from_file, from_stdin = self.outcomes(monkeypatch, tmp_path / name, INPUTS[name].replace(b"\n", brk.encode()))
+        assert from_file == from_stdin
+        assert lf_file == lf_stdin
+        # invariant, groups, matrix and snf; matrix takes only a diagram file.
+        assert [code for code, _, _ in from_file] == {
+            "worked_example.hlk": [EXIT_OK] * 4,
+            "worked_example.mat": [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK],
+            "parse_error.hlk": [EXIT_PARSE] * 4,
+            "undecodable.mat": [EXIT_PARSE] * 4,
+        }[name]
+        if name == "undecodable.mat":
+            assert all(": error: input is not UTF-8: " in err for _, _, err in from_file)
+        else:
+            # The same lines, so the same results and the same line numbers in errors.
+            assert from_file == lf_file
+        if name == "parse_error.hlk":
+            assert all(": error: line 7: " in err for _, _, err in from_file)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=repr)
+    def test_a_file_read_peaks_at_twice_its_size(self, tmp_path, brk):
+        # 120,000 crossing lines, about 2 MB.  The bytes and the decoded text
+        # are both alive while the file decodes; a newline translation of the
+        # text would keep a third copy.
+        lines = ["component h1", "loop e0", "component h2", "loop f0"]
+        lines += [f"crossing e0 f0 {sign}" for sign in "+-"] * 60_000
+        path = tmp_path / "big.hlk"
+        path.write_bytes((brk.join(lines) + brk).encode())
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            code = run(CliConfig("invariant", str(path)), out=out, err=err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out.getvalue(), err.getvalue()) == (EXIT_OK, "Lk = {0}\n", "")
+        assert peak < 2.2 * path.stat().st_size

@@ -380,6 +380,54 @@ class TestParseDiagramOnSmallSlices:
         self.parse.test_copies_of_a_line_are_checked_once(monkeypatch, head, line)
 
 
+def reference_sliced_lines(text):
+    """The scanner before it cut each slice in its own loop, with the windowed
+    search below; ``exactla._sliced_lines`` must cut every slice where it did."""
+    start, size = 0, min(64, exactla._SLICE)
+    while start < len(text):
+        end = reference_slice_end(text, start + size - 1)
+        yield text[start:end].splitlines()
+        start, size = end, min(16 * size, exactla._SLICE)
+
+
+def reference_slice_end(text, pos):
+    while pos < len(text):
+        lf = text.find("\n", pos, pos + exactla._SLICE)
+        cr = text.find("\r", pos, lf if lf >= 0 else pos + exactla._SLICE)
+        if cr >= 0:
+            return cr + 1 + text.startswith("\n", cr + 1)
+        if lf >= 0:
+            return lf + 1
+        pos += exactla._SLICE
+    return len(text)
+
+
+class TestSlicedLines:
+    def test_matches_the_reference(self, monkeypatch):
+        breaks = BREAKS + ["\x0c", "\x1c", "\u2029"]
+        rng = SplitMix64(23)
+        texts = [
+            "".join(LINES[rng.below(len(LINES))] + breaks[rng.below(len(breaks))] for _ in range(rng.below(40)))
+            for _ in range(100)
+        ]
+        for slice_chars in [*range(1, 41), 64, exactla._SLICE]:
+            monkeypatch.setattr(exactla, "_SLICE", slice_chars)
+            for text in texts + [text + "loop z" for text in texts[:20]]:
+                assert list(exactla._sliced_lines(text)) == list(reference_sliced_lines(text)), (slice_chars, text)
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0b"], ids=repr)
+    def test_texts_without_line_feeds_are_cut_in_linear_time(self, monkeypatch, brk):
+        # Each cut searches on from where the last search for "\n" stopped,
+        # so a text with none is not searched to its end once per slice.
+        text = "crossing a b +" + brk
+        text *= 200_000
+        monkeypatch.setattr(exactla, "_SLICE", 16)
+        start = time.perf_counter()
+        slices = list(exactla._sliced_lines(text))
+        assert time.perf_counter() - start < 2.0
+        assert slices == list(reference_sliced_lines(text))
+
+
 class TestDiagramType:
     def test_validation(self):
         a, b = Loop("a", 0), Loop("b", 1)

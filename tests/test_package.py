@@ -144,3 +144,16 @@ def test_one_function_splits_text_into_lines():
     sliced = next(node for node in MODULES["exactla.py"].body if getattr(node, "name", None) == "_sliced_lines")
     assert len(splitlines_calls(sliced)) == 1
     assert sum(len(splitlines_calls(tree)) for tree in MODULES.values()) == 1
+
+
+def test_files_are_opened_as_bytes():
+    # Decoding is one rule, in cli.run: a file's bytes, like standard input's,
+    # are decoded strictly as UTF-8 with no newline translation.
+    opens = [
+        n for tree in MODULES.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and "open" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+    assert opens
+    for call in opens:
+        modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        assert len(modes) == 1 and "b" in getattr(modes[0], "value", ""), ast.unparse(call)

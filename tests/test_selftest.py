@@ -108,6 +108,18 @@ class TestRunSelftest:
         with pytest.raises(ValueError):
             run_selftest(0, 0)
 
+    @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
+    def test_unwritable_trial_lines_change_no_result(self, monkeypatch, failing):
+        def refuse(*args):
+            raise OSError(28, "No space left on device")
+
+        if failing:
+            monkeypatch.setattr(selftest, "trial_defects", lambda m, rng: ["a defect"])
+        out, err = io.StringIO(), io.StringIO()
+        err.write = refuse
+        assert run_selftest(3, 0, verbose=True, out=out, err=err) == 3 * failing
+        assert out.getvalue() == f"{3 - 3 * failing}/3 passed\n"
+
     @pytest.mark.parametrize("name, broken, kinds", [
         ("elementary_divisors", lambda real: lambda m: real(m)[:-1], {
             "divisors changed under unimodular multiplication", "divisors changed under transposition",
