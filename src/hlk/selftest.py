@@ -1,13 +1,13 @@
 """Oracles and randomized self-checks for the reduction and invariant code.
 
-The determinant and the minor-gcd profile share no code with the reduction;
-random unimodular matrices and slides are moves the divisors must survive.
-Each trial draws a small random matrix and exercises the properties the
-library promises: exactness of the recorded transforms, invariance of the
-divisors under unimodular multiplication, transposition and slides,
-agreement with the minor-gcd oracle, and consistency of the quotient
-groups.  All randomness flows from one SplitMix64 stream, so a (trials,
-seed) pair always reruns the identical trials.
+The determinant and the minor-gcd profile (both by Bareiss elimination) share
+no code with the reduction; random unimodular matrices and slides are moves
+the divisors must survive.  Each trial draws a random matrix of at most 5 x 5
+and checks what the library promises: exact transforms, divisors invariant
+under unimodular multiplication, transposition and slides, agreement with the
+minor-gcd oracle, and consistent quotient groups.  A check that raises fails
+its trial.  One SplitMix64 stream drives all randomness, so a (trials, seed)
+pair always reruns the identical trials.
 """
 
 import math
@@ -24,14 +24,12 @@ __all__ = [
 ]
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of the square row list ``a`` by fraction-free (Bareiss)
+    elimination; ``a`` is overwritten."""
+    n = len(a)
     if n == 0:
         return 1
-    a = m.to_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -55,8 +53,15 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    return _bareiss(m.to_rows())
+
+
 # ---------------------------------------------------------------------------
-# Determinantal-divisor oracle.  Deliberately brute force and entirely
+# Determinantal-divisor oracle.  Brute force over every minor and entirely
 # separate from the reduction code in exactla, so the two can check each other:
 # the product d_1 * ... * d_k must equal the gcd of all k x k minors.
 
@@ -64,29 +69,11 @@ _MINOR_DIM_LIMIT = 6
 _MINOR_COUNT_LIMIT = 10**6
 
 
-def _cofactor_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    first = rows[0]
-    rest = rows[1:]
-    total = 0
-    for j, x in enumerate(first):
-        if x == 0:
-            continue
-        sub = [r[:j] + r[j + 1 :] for r in rest]
-        d = _cofactor_det(sub)
-        total += x * d if j % 2 == 0 else -x * d
-    return total
-
-
 def minor_gcd_profile(m: IntMatrix) -> list[int]:
     """[D_1, ..., D_min(m,n)] where D_k = gcd of |all k x k minors|.
 
-    D_k is 0 when every k x k minor vanishes.  Minors are evaluated by
-    cofactor expansion; this is a verification oracle for small matrices,
+    D_k is 0 when every k x k minor vanishes.  Each minor is evaluated by
+    Bareiss elimination; this is a verification oracle for small matrices,
     not a production path, and refuses inputs beyond the size guard.
     """
     k_max = min(m.rows, m.cols)
@@ -103,8 +90,7 @@ def minor_gcd_profile(m: IntMatrix) -> list[int]:
         for rsel in combinations(range(m.rows), k):
             picked = [rows[i] for i in rsel]
             for csel in combinations(range(m.cols), k):
-                minor = [[r[j] for j in csel] for r in picked]
-                g = math.gcd(g, _cofactor_det(minor))
+                g = math.gcd(g, _bareiss([[r[j] for j in csel] for r in picked]))
                 if g == 1:
                     break
             if g == 1:
@@ -255,7 +241,7 @@ def snf_defects(m: IntMatrix, r: SNFResult) -> list[str]:
 
 
 def trial_defects(m: IntMatrix, rng: SplitMix64) -> list[str]:
-    """Run every property check on one matrix; returns the failures."""
+    """Run every property check, the minor-gcd oracle included, on one matrix; returns the failures."""
     defects = []
     r = smith_normal_form(m)
     defects += snf_defects(m, r)
@@ -274,16 +260,15 @@ def trial_defects(m: IntMatrix, rng: SplitMix64) -> list[str]:
     if slid is not None and elementary_divisors(slid) != base:
         defects.append("divisors changed under a slide move")
 
-    if min(m.rows, m.cols) <= 3:
-        profile = minor_gcd_profile(m)
-        prod = 1
-        for k, d in enumerate(base):
-            prod *= d
-            if profile[k] != prod:
-                defects.append(f"minor-gcd oracle disagrees at k={k + 1}")
-        for k in range(len(base), len(profile)):
-            if profile[k] != 0:
-                defects.append(f"minor-gcd oracle nonzero beyond rank at k={k + 1}")
+    profile = minor_gcd_profile(m)
+    prod = 1
+    for k, d in enumerate(base):
+        prod *= d
+        if profile[k] != prod:
+            defects.append(f"minor-gcd oracle disagrees at k={k + 1}")
+    for k in range(len(base), len(profile)):
+        if profile[k] != 0:
+            defects.append(f"minor-gcd oracle nonzero beyond rank at k={k + 1}")
 
     a1, a2 = quotient_groups(m)
     if a2 != AbelianGroup(m.cols - len(transposed), tuple(d for d in transposed if d > 1)):
@@ -298,7 +283,8 @@ def run_selftest(trials: int, seed: int, verbose: bool = False, out=None, err=No
     """Run ``trials`` random trials; returns the number of failing trials.
 
     Prints ``<passed>/<trials> passed`` to ``out`` and one line per defect
-    to ``err``.
+    to ``err``.  A trial whose checks raise fails with one defect,
+    ``raised <Type>: <message>``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -308,7 +294,10 @@ def run_selftest(trials: int, seed: int, verbose: bool = False, out=None, err=No
     failures = 0
     for trial in range(trials):
         m = random_matrix(rng, 5, 5, 9)
-        defects = trial_defects(m, rng)
+        try:
+            defects = trial_defects(m, rng)
+        except Exception as exc:  # a check that cannot finish fails its trial
+            defects = [f"raised {type(exc).__name__}: {exc}"]
         failures += bool(defects)
         with suppress(OSError):  # a line that cannot be written changes no result
             for msg in defects:

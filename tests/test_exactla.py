@@ -930,7 +930,82 @@ class TestDeterminant:
 # --- minor-gcd oracle ------------------------------------------------------
 
 
+def reference_cofactor_det(rows):
+    """The minor oracle's determinant before it used Bareiss elimination:
+    cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    first = rows[0]
+    rest = rows[1:]
+    total = 0
+    for j, x in enumerate(first):
+        if x == 0:
+            continue
+        sub = [r[:j] + r[j + 1 :] for r in rest]
+        d = reference_cofactor_det(sub)
+        total += x * d if j % 2 == 0 else -x * d
+    return total
+
+
+def reference_minor_gcd_profile(rows, n):
+    """[D_1, ..., D_min(m,n)] with every minor by cofactor expansion."""
+    profile = []
+    for k in range(1, min(len(rows), n) + 1):
+        g = 0
+        for rsel in itertools.combinations(rows, k):
+            for csel in itertools.combinations(range(n), k):
+                g = math.gcd(g, reference_cofactor_det([[r[j] for j in csel] for r in rsel]))
+        profile.append(g)
+    return profile
+
+
 class TestMinorGcdProfile:
+    KINDS = ("dense", "zero", "rank-deficient", "repeated-row")
+
+    @staticmethod
+    def cases():
+        """(rows, n, kind, bound): 1,200 seeded inputs up to 6 x 6 with entries up to 9 or 100."""
+        rng = SplitMix64(4096)
+        for case in range(1200):
+            kind, bound = TestMinorGcdProfile.KINDS[case % 4], (9, 100)[case // 4 % 2]
+            m, n = 1 + rng.below(6), 1 + rng.below(6)
+
+            def draw(b=bound):
+                return rng.below(2 * b + 1) - b
+
+            if kind == "zero":
+                rows = [[0] * n for _ in range(m)]
+            elif kind == "rank-deficient":
+                # Rank at most k < min(m, n): a product of m x k and k x n factors.
+                k = rng.below(min(m, n))
+                x = [[draw(3) for _ in range(k)] for _ in range(m)]
+                y = [[draw(bound // 3) for _ in range(n)] for _ in range(k)]
+                rows = [[sum(p * q for p, q in zip(r, col)) for col in zip(*y)] if k else [0] * n
+                        for r in x]
+            else:
+                rows = [[draw() for _ in range(n)] for _ in range(m)]
+                if kind == "repeated-row" and m > 1:
+                    src = rng.below(m)
+                    rows[(src + 1 + rng.below(m - 1)) % m] = list(rows[src])
+            yield rows, n, kind, bound
+
+    def test_matches_cofactor_expansion(self):
+        seen, singular = collections.Counter(), collections.Counter()
+        for rows, n, kind, bound in self.cases():
+            m = IntMatrix.from_rows(rows, cols=n)
+            expected = reference_minor_gcd_profile(rows, n)
+            assert minor_gcd_profile(m) == expected, m
+            assert minor_gcd_profile(m.transpose()) == expected, m
+            seen[kind, bound, min(m.rows, m.cols)] += 1
+            singular[kind] += expected[-1] == 0
+        assert sum(seen.values()) == 1200
+        # Every kind and bound met a 6 x 6 input; the constructed kinds are singular.
+        assert all(seen[kind, bound, 6] for kind in self.KINDS for bound in (9, 100)), seen
+        assert singular["zero"] == singular["rank-deficient"] == 300 and singular["repeated-row"], singular
+
     def test_worked_example(self, worked_matrix):
         # divisor chain 1 | 2 | 4 gives prefix products 1, 2, 8
         assert minor_gcd_profile(worked_matrix) == [1, 2, 8]

@@ -1,13 +1,28 @@
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hlk.exactla as exactla
 from hlk import SplitMix64, selftest
 from hlk.cli import EXIT_SELFTEST, main
 from hlk.exactla import IntMatrix, SNFResult, elementary_divisors, smith_normal_form
 from hlk.invariant import AbelianGroup, quotient_groups
 from hlk.selftest import random_matrix, random_slide, run_selftest, snf_defects, trial_defects
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def signs_only_chain(b, r):
+    """``exactla._chain`` without its repair: it makes the diagonal positive and nothing more."""
+    for i in range(r):
+        if b[i][i] < 0:
+            b[i] = [-x for x in b[i]]
+    return [b[i][i] for i in range(r)]
 
 
 class TestRandomMatrix:
@@ -147,3 +162,49 @@ class TestRunSelftest:
         assert err.getvalue().splitlines() == expected
         assert main(["selftest", "--trials", "12", "--seed", "3"]) == EXIT_SELFTEST
         assert capsys.readouterr() == (out.getvalue(), err.getvalue())
+
+    def test_oracle_runs_on_every_trial(self, monkeypatch):
+        calls = []
+        real = selftest.minor_gcd_profile
+        monkeypatch.setattr(selftest, "minor_gcd_profile", lambda m: calls.append(m) or real(m))
+        out, err = io.StringIO(), io.StringIO()
+        assert run_selftest(200, 0, out=out, err=err) == 0
+        assert len(calls) == 200
+        assert max(min(m.rows, m.cols) for m in calls) == 5
+
+    def test_a_raising_check_fails_its_trial(self, monkeypatch, capsys):
+        # Without the chain repair, AbelianGroup refuses the unrepaired divisors.
+        monkeypatch.setattr(exactla, "_chain", signs_only_chain)
+        out, err = io.StringIO(), io.StringIO()
+        failing = run_selftest(50, 0, out=out, err=err)
+        assert 0 < failing < 50
+        assert out.getvalue() == f"{50 - failing}/50 passed\n"
+        lines = err.getvalue().splitlines()
+        assert "trial 13: raised ValueError: broken torsion chain: 2 does not divide 159 on " \
+               "IntMatrix(3x3 [-9 7 0; 6 -1 -2; 0 3 8])" in lines
+        assert len({line.split(":", 1)[0] for line in lines}) == failing
+
+        assert main(["selftest", "--trials", "50", "--seed", "0"]) == EXIT_SELFTEST
+        assert capsys.readouterr() == (out.getvalue(), err.getvalue())
+
+    def test_too_many_divisors_fail_their_trial(self, monkeypatch):
+        # More divisors than min(m, n) run past the end of the minor-gcd profile.
+        real = selftest.smith_normal_form
+
+        def one_divisor_too_many(m):
+            r = real(m)
+            return SNFResult(r.d, r.u, r.v, (*r.divisors, 1))
+
+        monkeypatch.setattr(selftest, "smith_normal_form", one_divisor_too_many)
+        out, err = io.StringIO(), io.StringIO()
+        assert run_selftest(10, 0, out=out, err=err) == 10
+        assert "raised IndexError: list index out of range" in err.getvalue()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_full_selftest_run_passes(seed):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "hlk.cli", "selftest", "--trials", "1000", "--seed", str(seed)],
+                          env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"1000/1000 passed\n", b"")
