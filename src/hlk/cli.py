@@ -122,7 +122,7 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     streams); a diagnostic that cannot be written changes no exit code.  A
     caller's ``stdin`` text is read as it is; a file or the process's standard
     input is read as bytes and decoded strictly as UTF-8, with no newline
-    translation, whatever the locale.
+    translation, whatever the locale, and one leading byte-order mark is skipped.
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
@@ -160,10 +160,10 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
                 if stdin is None and sys.stdin is None:
                     # Python sets sys.stdin to None when descriptor 0 is closed.
                     return fail(EXIT_USAGE, "standard input is closed")
-                text = sys.stdin.buffer.read().decode("utf-8") if stdin is None else stdin.read()
+                text = sys.stdin.buffer.read().decode("utf-8-sig") if stdin is None else stdin.read()
             else:
                 with open(config.input_path, "rb") as handle:
-                    text = handle.read().decode("utf-8")
+                    text = handle.read().decode("utf-8-sig")
         except OSError as exc:
             return fail(EXIT_USAGE, exc)
         except UnicodeDecodeError as exc:

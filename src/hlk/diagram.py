@@ -67,6 +67,8 @@ class Diagram(_Record):
             raise ValueError(f"expected exactly two components, found {len(self.component_names)}")
         names = set()
         for loop in self.loops:
+            if type(loop.component) is not int:
+                raise TypeError(f"loop {loop.name!r} has component {loop.component!r}, expected an int")
             if loop.component not in (0, 1):
                 raise ValueError(f"loop {loop.name!r} has component {loop.component}, expected 0 or 1")
             if loop.name in names:

@@ -10,6 +10,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import chain, compress
+from operator import mul
 
 __all__ = [
     "IntMatrix",
@@ -141,12 +142,8 @@ class IntMatrix(_Record):
         return [list(self.entries[i * n : (i + 1) * n]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        flipped = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return IntMatrix(self.cols, self.rows, flipped)
+        e, n = self.entries, self.cols
+        return IntMatrix(n, self.rows, tuple(chain.from_iterable(e[j::n] for j in range(n))))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -155,18 +152,10 @@ class IntMatrix(_Record):
             raise ValueError(
                 f"cannot multiply {self.rows} x {self.cols} by {other.rows} x {other.cols}"
             )
-        a, b = self.to_rows(), other.to_rows()
-        n = other.cols
-        out = []
-        for arow in a:
-            acc = [0] * n
-            for k, x in enumerate(arow):
-                if x:
-                    brow = b[k]
-                    for j in range(n):
-                        acc[j] += x * brow[j]
-            out.append(acc)
-        return IntMatrix.from_rows(out, cols=n)
+        e, n = other.entries, other.cols
+        cols = [e[j::n] for j in range(n)]
+        products = (sum(map(mul, row, col)) for row in self.to_rows() for col in cols)
+        return IntMatrix(self.rows, n, tuple(products))
 
     def __repr__(self):
         # Rows are cut from the entries, so a width-zero matrix costs nothing
@@ -211,18 +200,9 @@ def _transpose(a):
     return [list(c) for c in zip(*a)]
 
 
-def _mix_rows(b, i, p, q, r, s):
-    """Rows (i, i+1) become (p*row_i + q*row_i+1, r*row_i + s*row_i+1)."""
-    x, y = b[i], b[i + 1]
-    b[i] = [p * e + q * f for e, f in zip(x, y)]
-    b[i + 1] = [r * e + s * f for e, f in zip(x, y)]
-
-
-def _mix_cols(b, i, p, q, r, s):
-    """Columns (i, i+1) become (p*col_i + q*col_i+1, r*col_i + s*col_i+1)."""
-    for row in b:
-        x, y = row[i], row[i + 1]
-        row[i], row[i + 1] = p * x + q * y, r * x + s * y
+def _combine(u, w, p, q, r, s):
+    """The lists ``(p*u + q*w, r*u + s*w)``: one 2x2 step on two rows or two columns."""
+    return [p * x + q * y for x, y in zip(u, w)], [r * x + s * y for x, y in zip(u, w)]
 
 
 def _min_abs_entry(a, t, m, n):
@@ -383,9 +363,7 @@ def _hermite(rows, n, full_rank=False):
                 pg, xg = p // g, x // g
                 t = pow(xg, -1, pg)
                 s = (g - t * x) // p
-                ys, zs = pivot[lead:], row[lead:]
-                pivot[lead:] = [s * y + t * z for y, z in zip(ys, zs)]
-                row[lead:] = [pg * z - xg * y for y, z in zip(ys, zs)]
+                pivot[lead:], row[lead:] = _combine(pivot[lead:], row[lead:], s, t, -xg, pg)
                 _reduce_row(pivot, zip(basis[i + 1:], leads[i + 1:]))
                 reduce_above(i)
             # Subtract x // p times the pivot row (none after a gcd step), then reduce further.
@@ -493,8 +471,11 @@ def _chain(b, r):
                 k = abs(y // g)
                 s = (pow(x // g, -1, k) + k // 2) % k - k // 2
                 t = (g - s * x) // y
-                _mix_rows(b, i, s, t, -y // g, x // g)
-                _mix_cols(b, i, 1, 1, -t * y // g, s * x // g)
+                b[i], b[i + 1] = _combine(b[i], b[i + 1], s, t, -y // g, x // g)
+                cols = _combine([row[i] for row in b], [row[i + 1] for row in b],
+                                1, 1, -t * y // g, s * x // g)
+                for row, e, f in zip(b, *cols):
+                    row[i], row[i + 1] = e, f
                 changed = True
 
     for i in range(r):
@@ -520,7 +501,7 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     if b is None:
         b = _hermite([row + u for row, u in zip(a, _identity_rows(r))], c)
     del a  # A's rows are not held through the alternation
-    b += [[0] * j + [1] + [0] * (c - 1 - j + r) for j in range(c)]
+    b += [row + [0] * r for row in _identity_rows(c)]
     divisors = _chain(b, _alternate(b, r, c))
     return SNFResult(
         d=IntMatrix(r, c, tuple(chain.from_iterable(row[:c] for row in b[:r]))),

@@ -83,7 +83,7 @@ def minor_gcd_profile(m: IntMatrix) -> list[int]:
     if total > _MINOR_COUNT_LIMIT:
         raise ValueError(f"minor oracle limited to {_MINOR_COUNT_LIMIT} minors, needs {total}")
 
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows = m.to_rows()
     profile = []
     for k in range(1, k_max + 1):
         g = 0
@@ -218,14 +218,14 @@ def snf_defects(m: IntMatrix, r: SNFResult) -> list[str]:
     defects = []
     if r.u @ m @ r.v != r.d:
         defects.append("u @ m @ v differs from d")
-    if abs(determinant(r.u)) != 1:
-        defects.append(f"det u = {determinant(r.u)}, expected +-1")
-    if abs(determinant(r.v)) != 1:
-        defects.append(f"det v = {determinant(r.v)}, expected +-1")
-    diag = [r.d.entry(i, i) for i in range(min(r.d.rows, r.d.cols))]
-    for i in range(r.d.rows):
-        for j in range(r.d.cols):
-            if i != j and r.d.entry(i, j):
+    for name, t in (("u", r.u), ("v", r.v)):
+        if abs(det := determinant(t)) != 1:
+            defects.append(f"det {name} = {det}, expected +-1")
+    rows = r.d.to_rows()
+    diag = [row[i] for i, row in enumerate(rows[: r.d.cols])]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if i != j and x:
                 defects.append(f"d has off-diagonal entry at ({i}, {j})")
     if list(r.divisors) != [x for x in diag if x]:
         defects.append("divisors do not match the nonzero diagonal of d")

@@ -594,6 +594,7 @@ class TestInputLayer:
 
 # Files and the process's standard input go through one decode: strict UTF-8
 # bytes with no newline translation.  Lines end where the scanner ends them.
+BOM = "\ufeff".encode()
 INPUTS = {
     "worked_example.hlk": (FIXTURES / "worked_example.hlk").read_bytes(),
     "worked_example.mat": (FIXTURES / "worked_example.mat").read_bytes(),
@@ -637,21 +638,44 @@ class TestFilesAndStdin:
         if name == "parse_error.hlk":
             assert all(": error: line 7: " in err for _, _, err in from_file)
 
+    @pytest.mark.parametrize("name", ["worked_example.hlk", "worked_example.mat"])
+    def test_a_leading_byte_order_mark_is_skipped(self, monkeypatch, tmp_path, name):
+        plain = self.outcomes(monkeypatch, tmp_path / name, INPUTS[name])
+        marked = self.outcomes(monkeypatch, tmp_path / name, BOM + INPUTS[name])
+        assert marked == plain
+        from_file, from_stdin = marked
+        assert from_file == from_stdin
+        assert from_file[0][:2] == (EXIT_OK, "Lk = {1, 2, 4}\n")
+
+    def test_a_later_byte_order_mark_is_text(self, monkeypatch, tmp_path):
+        data = WORKED_TEXT.encode()
+        for marked in (data[:1] + BOM + data[1:], BOM + BOM + data):
+            from_file, from_stdin = self.outcomes(monkeypatch, tmp_path / "marked.mat", marked)
+            assert from_file == from_stdin
+            for code, out, err in from_file:
+                assert (code, out) == (EXIT_PARSE, "")
+                assert "neither a diagram nor a matrix file" in err
+        # A caller's text is read as given, mark and all.
+        code, out, err = run_config(CliConfig("invariant"), "\ufeff" + WORKED_TEXT)
+        assert (code, out) == (EXIT_PARSE, "")
+
     @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=repr)
     def test_a_file_read_peaks_at_twice_its_size(self, tmp_path, brk):
         # 120,000 crossing lines, about 2 MB.  The bytes and the decoded text
         # are both alive while the file decodes; a newline translation of the
-        # text would keep a third copy.
+        # text would keep a third copy.  So would cutting a byte-order mark
+        # from the decoded text, which the mark makes two bytes a character.
         lines = ["component h1", "loop e0", "component h2", "loop f0"]
         lines += [f"crossing e0 f0 {sign}" for sign in "+-"] * 60_000
         path = tmp_path / "big.hlk"
-        path.write_bytes((brk.join(lines) + brk).encode())
-        out, err = io.StringIO(), io.StringIO()
-        tracemalloc.start()
-        try:
-            code = run(CliConfig("invariant", str(path)), out=out, err=err)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (code, out.getvalue(), err.getvalue()) == (EXIT_OK, "Lk = {0}\n", "")
-        assert peak < 2.2 * path.stat().st_size
+        for mark in (b"", BOM):
+            path.write_bytes(mark + (brk.join(lines) + brk).encode())
+            out, err = io.StringIO(), io.StringIO()
+            tracemalloc.start()
+            try:
+                code = run(CliConfig("invariant", str(path)), out=out, err=err)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out.getvalue(), err.getvalue()) == (EXIT_OK, "Lk = {0}\n", ""), mark
+            assert peak < 2.2 * path.stat().st_size, mark

@@ -437,6 +437,9 @@ class TestDiagramType:
             Diagram(("x", "y"), (a, Loop("a", 1)), ())
         with pytest.raises(ValueError):
             Diagram(("x", "y"), (a, Loop("b", 2)), ())
+        for component in (1.0, True):
+            with pytest.raises(TypeError, match="expected an int"):
+                Diagram(("x", "y"), (a, Loop("b", component)), {("a", "b"): 2})
         with pytest.raises(ValueError):
             Diagram(("x", "y"), (a,), ())
         with pytest.raises(ValueError, match="unknown loop 'zz'"):

@@ -145,6 +145,60 @@ class TestIntMatrix:
         assert time.perf_counter() - start < 1
 
 
+def reference_transpose(m):
+    """``IntMatrix.transpose`` as it was before it read columns as slices."""
+    flipped = tuple(m.entries[i * m.cols + j] for j in range(m.cols) for i in range(m.rows))
+    return IntMatrix(m.cols, m.rows, flipped)
+
+
+def reference_matmul(a, b):
+    """``IntMatrix.__matmul__`` as it was before it read columns as slices:
+    each row of the product accumulated entry by entry, skipping zeros of ``a``."""
+    rows, n = b.to_rows(), b.cols
+    out = []
+    for arow in a.to_rows():
+        acc = [0] * n
+        for k, x in enumerate(arow):
+            if x:
+                brow = rows[k]
+                for j in range(n):
+                    acc[j] += x * brow[j]
+        out.append(acc)
+    return IntMatrix.from_rows(out, cols=n)
+
+
+class TestIntMatrixReferences:
+    """transpose and @ against the index-arithmetic references above."""
+
+    @staticmethod
+    def cases():
+        """(a, b) with a m x k and b k x n: 1,200 seeded pairs, each side up to 6,
+        entries up to 1, 100 or 10^30 in magnitude, about a third of them zero."""
+        rng = SplitMix64(2357)
+        for case in range(1200):
+            m, k, n = rng.below(7), rng.below(7), rng.below(7)
+            bound = (1, 100, 10**30)[case % 3]
+
+            def draw(rows, cols):
+                entries = [rng.below(2 * bound + 1) - bound if rng.below(3) else 0 for _ in range(rows * cols)]
+                return IntMatrix(rows, cols, tuple(entries))
+
+            yield draw(m, k), draw(k, n)
+
+    def test_matches_the_references(self):
+        seen = collections.Counter()
+        for a, b in self.cases():
+            assert a.transpose() == reference_transpose(a), a
+            assert a @ b == reference_matmul(a, b), (a, b)
+            seen["0 x n"] += a.rows == 0 < a.cols
+            seen["n x 0"] += a.cols == 0 < a.rows
+            seen["inner 0"] += a.cols == 0 < a.rows * b.cols
+            seen["30 digits"] += max(map(abs, a.entries), default=0) > 10**29
+            seen["cases"] += 1
+        assert seen["cases"] == 1200
+        assert all(seen[key] for key in ("0 x n", "n x 0", "inner 0", "30 digits")), seen
+
+
 # --- Smith normal form -----------------------------------------------------
 
 

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "hlk").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+SOURCES = sorted(
+    [*(ROOT / "src" / "hlk").glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+)
 
 
 def declared_minimum():
@@ -15,7 +17,7 @@ def declared_minimum():
 
 
 def test_sources_and_minimum_are_found():
-    assert len(SOURCES) >= 10  # the package modules and the four demos
+    assert len(SOURCES) >= 20  # the package modules, the four demos and the tests
     assert declared_minimum() >= (3, 10)
 
 
