@@ -115,6 +115,22 @@ def detect_format(text: str) -> str | None:
     return first and {"component": "diagram", "matrix": "matrix"}.get(first[1][0])
 
 
+def _decode(data: bytes) -> str:
+    """``data`` decoded strictly as UTF-8, one leading byte-order mark skipped.
+
+    A decode error gives its position in ``data``, counting the mark.
+    """
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # The codec decodes what follows the mark, and counts positions from there.
+        shift = len(data) - len(exc.object)
+        if not shift:
+            raise
+        raise UnicodeDecodeError(exc.encoding, data, exc.start + shift, exc.end + shift,
+                                 exc.reason) from None
+
+
 def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
     """Execute one invocation; returns the exit code.
 
@@ -160,10 +176,10 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
                 if stdin is None and sys.stdin is None:
                     # Python sets sys.stdin to None when descriptor 0 is closed.
                     return fail(EXIT_USAGE, "standard input is closed")
-                text = sys.stdin.buffer.read().decode("utf-8-sig") if stdin is None else stdin.read()
+                text = _decode(sys.stdin.buffer.read()) if stdin is None else stdin.read()
             else:
                 with open(config.input_path, "rb") as handle:
-                    text = handle.read().decode("utf-8-sig")
+                    text = _decode(handle.read())
         except OSError as exc:
             return fail(EXIT_USAGE, exc)
         except UnicodeDecodeError as exc:

@@ -484,6 +484,39 @@ def _chain(b, r):
     return [b[i][i] for i in range(r)]
 
 
+def _hadamard_bits(m):
+    """log2 of Hadamard's bound on the maximal minors of ``m``: the product of
+    its row norms or of its column norms, whichever is smaller."""
+    def log_norms(lines):
+        return sum(math.log2(max(1, sum(x * x for x in line))) for line in lines) / 2
+
+    e, c = m.entries, m.cols
+    return min(log_norms(e[i : i + c] for i in range(0, len(e), c)),
+               log_norms(e[j::c] for j in range(c)))
+
+
+def _reduce_against_kernel(rows, rank, m):
+    """Size-reduce ``rows[:rank]`` against the Hermite form of the kernel rows
+    ``rows[rank:]`` of U or of V's transpose, in place; returns whether it ran.
+
+    It runs when there are at most half as many kernel rows as ``rank`` and one
+    of their entries is longer than ``m``'s Hadamard bits.  The kernel rows are
+    independent, so ``_hermite`` returns as many, in pivot order, and each row
+    reduced against them has its entries at their pivots in [0, pivot).
+    """
+    kernel = rows[rank:]
+    if not 0 < 2 * len(kernel) <= rank:
+        return False
+    if max(map(int.bit_length, chain.from_iterable(kernel))) <= _hadamard_bits(m):
+        return False
+    width = len(kernel[0])
+    rows[rank:] = kernel = _hermite(kernel, width)
+    pivots = [(row, next(compress(range(width), row))) for row in kernel]
+    for row in rows[:rank]:
+        _reduce_row(row, pivots)
+    return True
+
+
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Smith normal form with recorded transforms.
 
@@ -502,13 +535,24 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
         b = _hermite([row + u for row, u in zip(a, _identity_rows(r))], c)
     del a  # A's rows are not held through the alternation
     b += [row + [0] * r for row in _identity_rows(c)]
-    divisors = _chain(b, _alternate(b, r, c))
-    return SNFResult(
-        d=IntMatrix(r, c, tuple(chain.from_iterable(row[:c] for row in b[:r]))),
-        u=IntMatrix(r, r, tuple(chain.from_iterable(row[c:] for row in b[:r]))),
-        v=IntMatrix(c, c, tuple(chain.from_iterable(row[:c] for row in b[r:]))),
-        divisors=divisors,
-    )
+    rank = _alternate(b, r, c)
+    divisors = _chain(b, rank)
+    d = IntMatrix(r, c, tuple(chain.from_iterable(row[:c] for row in b[:r])))
+    u = [row[c:] for row in b[:r]]
+    v = [row[:c] for row in b[r:]]
+    del b
+    # The rows of U and the columns of V past the rank span A's left kernel and
+    # its kernel, so adding them to the other rows and columns changes neither
+    # U A nor A V.  Where they have outgrown Hadamard's bound, the others are
+    # size-reduced against them; see _reduce_against_kernel for the rule.
+    _reduce_against_kernel(u, rank, m)
+    if 0 < 2 * (c - rank) <= rank:
+        # V's columns are transposed only where the rule may run on them.
+        columns = _transpose(v)
+        if _reduce_against_kernel(columns, rank, m):
+            v = _transpose(columns)
+    return SNFResult(d, IntMatrix(r, r, tuple(chain.from_iterable(u))),
+                     IntMatrix(c, c, tuple(chain.from_iterable(v))), divisors)
 
 
 def elementary_divisors(m: IntMatrix) -> list[int]:

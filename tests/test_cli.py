@@ -647,6 +647,20 @@ class TestFilesAndStdin:
         assert from_file == from_stdin
         assert from_file[0][:2] == (EXIT_OK, "Lk = {1, 2, 4}\n")
 
+    @pytest.mark.parametrize("mark", [b"", BOM], ids=["plain", "marked"])
+    @pytest.mark.parametrize("body, what", [
+        (b"matrix 1 1\n\xff\n", "byte 0xff in position {}: invalid start byte"),
+        (b"matrix 1 1\n\xe2\x82\n", "bytes in position {}-{}: invalid continuation byte"),
+    ], ids=["one-byte", "two-bytes"])
+    def test_a_decode_error_gives_its_offset_in_the_input(self, monkeypatch, tmp_path, mark, body, what):
+        # The bad bytes start at offset 11 of the body, so 14 behind a mark.
+        start = 11 + len(mark)
+        reason = what.format(start, start + 1)
+        for outcomes in self.outcomes(monkeypatch, tmp_path / "bad.mat", mark + body):
+            assert [(code, out) for code, out, _ in outcomes] == [(EXIT_PARSE, "")] * 4
+            assert [err.split(": error: ", 1)[1] for _, _, err in outcomes] == [
+                f"input is not UTF-8: 'utf-8' codec can't decode {reason}\n"] * 4
+
     def test_a_later_byte_order_mark_is_text(self, monkeypatch, tmp_path):
         data = WORKED_TEXT.encode()
         for marked in (data[:1] + BOM + data[1:], BOM + BOM + data):

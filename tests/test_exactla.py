@@ -25,6 +25,7 @@ from hlk.exactla import (
     smith_normal_form,
 )
 from hlk.invariant import AbelianGroup, LkInvariant, handlebody_linking, quotient_groups
+from hlk.selftest import snf_defects
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -457,8 +458,8 @@ SNF_DIGESTS = [
     ((936, 35, 35, 1), "e1683533d15c82e488debaf43c8e563a473ad619a50b6c72db475894b3b740e1"),
     ((931, 30, 30, 100), "ee0430517caffc47ed30d4092ebd27a979142488b9a4c3ed218a60a936f5cbe6"),
     ((941, 40, 40, 1), "2007c560afe1ed5c68cccd408766fd90e1ccd7039016f43a816bda967aee82bd"),
-    ((951, 20, 30, 100), "2ca3fbdc2904c787cc0cf340c533b8b79ae6bb2738112724409ebd3b5f1fbcc8"),
-    ((951, 30, 20, 100), "8c0cfa2c00547418c5e599171c47e488dc5644120a5ab771403333d747b5c645"),
+    ((951, 20, 30, 100), "2683ac08df34c0dd0866ab25a2db158c25f8c3e00ad8678ad3c01fd2d2c457bf"),
+    ((951, 30, 20, 100), "2537cdf3c064d5a9c6296914afc3200b003d18d2aa215536292cbe9a22d8f5a9"),
     ("hopf.hlk", "7c19d2ae585cd89f5eaac184dc03708781d48f8cd3806c497e9820c37088f023"),
     ("separated.hlk", "007e5c06d20de9b358f7aad3b185a067fe6efcc8253273f40e741cab8d25d2d0"),
     ("worked_example.hlk", "a5c12cddbc3d0a443879d7c5eb8d0fa35634f41e5c89a6cdfa235487dd879517"),
@@ -509,7 +510,7 @@ class TestCertifiedPath:
         [
             (921, 20, 20, 100), (926, 25, 25, 100), (931, 30, 30, 1), (936, 35, 35, 1),
             (931, 30, 30, 100), (941, 40, 40, 1), (951, 20, 30, 100), (951, 30, 20, 100),
-            (936, 35, 35, 100), (961, 60, 60, 100),
+            (936, 35, 35, 100), (961, 60, 60, 100), (1208, 12, 8, 100),
         ],
     )
     def test_transforms_stay_near_the_hadamard_bound(self, seed, rows, cols, bound):
@@ -517,8 +518,50 @@ class TestCertifiedPath:
         r = smith_normal_form(m)
         assert r.u @ m @ r.v == r.d
         bits = max(abs(x).bit_length() for x in r.u.entries + r.v.entries)
-        # The worst of these measured 4.2x (20x30, with 10 kernel columns in V).
-        assert bits <= 8 * hadamard_bits(m)
+        # The kernel rows and columns are size-reduced, so the rectangular cases
+        # stay under 1x.  The worst left are the square ±100 cases at 1.8x, all
+        # in U's row of the largest divisor.
+        assert bits <= 2 * hadamard_bits(m)
+
+    @staticmethod
+    def kernel_cases():
+        """Uniform matrices and products A(m x k) @ B(k x n), up to 12x12,
+        with entries up to 8 or up to 100."""
+        rng = SplitMix64(2712)
+
+        def draw(m, n, bound):
+            return IntMatrix.from_rows(
+                [[rng.below(2 * bound + 1) - bound for _ in range(n)] for _ in range(m)], cols=n
+            )
+
+        for _ in range(1200):
+            m, k, n = 1 + rng.below(12), 1 + rng.below(12), 1 + rng.below(12)
+            bound = (8, 100)[rng.below(2)]
+            yield draw(m, n, bound) if rng.below(2) else draw(m, k, bound) @ draw(k, n, bound)
+
+    def test_reduced_kernel_sides_stay_within_twice_the_hadamard_bound(self):
+        # A side is reduced against its kernel when the kernel has at most
+        # half as many vectors as the rank.
+        covered = 0
+        for m in self.kernel_cases():
+            r = smith_normal_form(m)
+            assert snf_defects(m, r) == [], m
+            assert list(r.divisors) == elementary_divisors(m), m
+            rank = len(r.divisors)
+            for t, kernel in ((r.u, m.rows - rank), (r.v, m.cols - rank)):
+                if 0 < 2 * kernel <= rank:
+                    covered += 1
+                    assert max(map(int.bit_length, t.entries)) <= 2 * hadamard_bits(m), m
+        assert covered >= 300
+
+    # sha256 of `hlk snf` stdout on inputs whose kernel has more vectors than
+    # half the rank, taken before the kernel part was size-reduced.
+    @pytest.mark.parametrize("source, digest", [
+        ((3005, 300, 5, 100), "fd0be6f8d49f056ade7d5e6493a31585cac79e2b29c744bfa42c323015d9ebfd"),
+        ((5300, 5, 300, 100), "56a8617a86b137ba36c23ac4a365845d6aa2bf709ac2ff6235b8eed9facd1cec"),
+    ], ids=["300x5", "5x300"])
+    def test_snf_output_past_the_kernel_guard_is_pinned(self, source, digest):
+        assert snf_digest(splitmix_matrix(*source)) == digest
 
     @pytest.mark.parametrize("seed, n", [(936, 35), (961, 60)])
     def test_snf_of_large_dense_matrices_is_fast(self, seed, n):
@@ -535,7 +578,8 @@ class TestCertifiedPath:
     ])
     def test_snf_output_is_pinned(self, source, digest):
         # U and V are deterministic; these digests of the whole `hlk snf` output
-        # were taken before the Hermite row steps were narrowed to their live span.
+        # were taken before the Hermite row steps were narrowed to their live span,
+        # the two rectangular anchors' once their kernel part was size-reduced.
         if isinstance(source, str):
             text = (FIXTURES / source).read_text()
         else:
@@ -632,6 +676,9 @@ class TestPackedFirstPass:
         # _hermite calls on each anchor when the alternation ran its own first
         # row pass over the packed pass's [H, U]; that pass changed nothing.
         before = [3, 3, 4, 3, 4, 3, 3]
+        # The wide anchor's V has kernel columns past Hadamard's bound, and
+        # their Hermite form takes one more call.
+        kernel_steps = [0, 0, 0, 0, 0, 0, 1]
         anchors = [splitmix_matrix(*source) for source, _ in SNF_DIGESTS[:7]]
         hermite, calls = exactla._hermite, []
 
@@ -645,7 +692,7 @@ class TestPackedFirstPass:
             seen = len(calls)
             smith_normal_form(m)
             counts.append(len(calls) - seen)
-        assert counts == [k - 1 for k in before]
+        assert counts == [k - 1 + j for k, j in zip(before, kernel_steps)]
 
     def test_rank_deficient_pass_stops_at_its_first_zero_row(self, monkeypatch):
         # Rank 5, and the slots fit: the pass gives up on the packed border
@@ -667,14 +714,15 @@ class TestPackedFirstPass:
 
     # sha256 of `hlk snf` stdout on inputs that leave the packed pass, taken
     # before a rank-deficient pass stopped at its first zero row and before
-    # the alternation took the first row pass's result as it stood.
+    # the alternation took the first row pass's result as it stood; tall-12x8's
+    # once its kernel rows were size-reduced.
     @pytest.mark.parametrize("make, branch, digest", [
         (lambda: product_matrix(1605, 16, 5, 10), "fell back",
          "b4937d4e395ed5ef6ea46613bc4856bf352edd68e739fc1eb8a28714aedcffec"),
         (lambda: planted_matrix(1612, 16, 12), "fell back",
          "2512dab4dd88456ba1f59b665daccd941ab7aaf3a546a5ff91bb1be06739aec5"),
         (lambda: splitmix_matrix(1208, 12, 8, 100), "skipped",
-         "f34016f2ba5c5c91f761ab01691831a4ef16aee7cd134bbe1f691eba8b09a35a"),
+         "5295a6043cbe788d72f63879adeb6ed6c0239bb6e91fae5b1e49ff35df37abe4"),
     ], ids=["rank-deficient-16x5x16", "planted-16x16x12", "tall-12x8"])
     def test_snf_output_off_the_packed_pass_is_pinned(self, monkeypatch, make, branch, digest):
         m = make()
