@@ -484,37 +484,26 @@ def _chain(b, r):
     return [b[i][i] for i in range(r)]
 
 
-def _hadamard_bits(m):
-    """log2 of Hadamard's bound on the maximal minors of ``m``: the product of
-    its row norms or of its column norms, whichever is smaller."""
-    def log_norms(lines):
-        return sum(math.log2(max(1, sum(x * x for x in line))) for line in lines) / 2
+def _reduce_against_kernel(rows, rank, columns=False):
+    """``rows`` (U's rows, or V's columns where ``columns``) with those before
+    ``rank`` size-reduced against the Hermite form of those past it.
 
-    e, c = m.entries, m.cols
-    return min(log_norms(e[i : i + c] for i in range(0, len(e), c)),
-               log_norms(e[j::c] for j in range(c)))
-
-
-def _reduce_against_kernel(rows, rank, m):
-    """Size-reduce ``rows[:rank]`` against the Hermite form of the kernel rows
-    ``rows[rank:]`` of U or of V's transpose, in place; returns whether it ran.
-
-    It runs when there are at most half as many kernel rows as ``rank`` and one
-    of their entries is longer than ``m``'s Hadamard bits.  The kernel rows are
-    independent, so ``_hermite`` returns as many, in pivot order, and each row
-    reduced against them has its entries at their pivots in [0, pivot).
+    It runs only when there are at most half as many kernel vectors as
+    ``rank``: the Hermite pass over k of them takes about k² row steps.  The
+    kernel rows are independent, so ``_hermite`` returns as many, in pivot
+    order, and each row reduced against them has its entries at their pivots
+    in [0, pivot).
     """
-    kernel = rows[rank:]
-    if not 0 < 2 * len(kernel) <= rank:
-        return False
-    if max(map(int.bit_length, chain.from_iterable(kernel))) <= _hadamard_bits(m):
-        return False
-    width = len(kernel[0])
-    rows[rank:] = kernel = _hermite(kernel, width)
+    if not 0 < 2 * (len(rows) - rank) <= rank:
+        return rows
+    if columns:
+        rows = _transpose(rows)
+    width = len(rows[0])
+    rows[rank:] = kernel = _hermite(rows[rank:], width)
     pivots = [(row, next(compress(range(width), row))) for row in kernel]
     for row in rows[:rank]:
         _reduce_row(row, pivots)
-    return True
+    return _transpose(rows) if columns else rows
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
@@ -543,14 +532,10 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     del b
     # The rows of U and the columns of V past the rank span A's left kernel and
     # its kernel, so adding them to the other rows and columns changes neither
-    # U A nor A V.  Where they have outgrown Hadamard's bound, the others are
-    # size-reduced against them; see _reduce_against_kernel for the rule.
-    _reduce_against_kernel(u, rank, m)
-    if 0 < 2 * (c - rank) <= rank:
-        # V's columns are transposed only where the rule may run on them.
-        columns = _transpose(v)
-        if _reduce_against_kernel(columns, rank, m):
-            v = _transpose(columns)
+    # U A nor A V; the others are size-reduced against them where the kernel is
+    # small next to the rank.
+    u = _reduce_against_kernel(u, rank)
+    v = _reduce_against_kernel(v, rank, columns=True)
     return SNFResult(d, IntMatrix(r, r, tuple(chain.from_iterable(u))),
                      IntMatrix(c, c, tuple(chain.from_iterable(v))), divisors)
 

@@ -462,8 +462,8 @@ SNF_DIGESTS = [
     ((951, 30, 20, 100), "2537cdf3c064d5a9c6296914afc3200b003d18d2aa215536292cbe9a22d8f5a9"),
     ("hopf.hlk", "7c19d2ae585cd89f5eaac184dc03708781d48f8cd3806c497e9820c37088f023"),
     ("separated.hlk", "007e5c06d20de9b358f7aad3b185a067fe6efcc8253273f40e741cab8d25d2d0"),
-    ("worked_example.hlk", "a5c12cddbc3d0a443879d7c5eb8d0fa35634f41e5c89a6cdfa235487dd879517"),
-    ("worked_example.mat", "a5c12cddbc3d0a443879d7c5eb8d0fa35634f41e5c89a6cdfa235487dd879517"),
+    ("worked_example.hlk", "d3d664f956f9366bbe22beede69f9f91069e62120515fb19f109c19462e9473c"),
+    ("worked_example.mat", "d3d664f956f9366bbe22beede69f9f91069e62120515fb19f109c19462e9473c"),
 ]
 
 
@@ -539,19 +539,32 @@ class TestCertifiedPath:
             bound = (8, 100)[rng.below(2)]
             yield draw(m, n, bound) if rng.below(2) else draw(m, k, bound) @ draw(k, n, bound)
 
+    @staticmethod
+    def reduced_against_kernel(rows, rank):
+        """Whether ``rows[rank:]`` are in Hermite form and every entry of the
+        rows before ``rank`` at one of their pivots p lies in [0, p)."""
+        pivots = [next((j, x) for j, x in enumerate(row) if x) for row in rows[rank:]]
+        hermite = all(x > 0 for _, x in pivots) and all(
+            a[0] < b[0] for a, b in zip(pivots, pivots[1:])
+        ) and all(row[j] == 0 for row, (p, _) in zip(rows[rank:], pivots) for j in range(p))
+        return hermite and all(0 <= row[j] < p for row in rows[:rank] for j, p in pivots)
+
     def test_reduced_kernel_sides_stay_within_twice_the_hadamard_bound(self):
         # A side is reduced against its kernel when the kernel has at most
-        # half as many vectors as the rank.
+        # half as many vectors as the rank, however short the kernel's entries.
         covered = 0
         for m in self.kernel_cases():
             r = smith_normal_form(m)
             assert snf_defects(m, r) == [], m
             assert list(r.divisors) == elementary_divisors(m), m
             rank = len(r.divisors)
-            for t, kernel in ((r.u, m.rows - rank), (r.v, m.cols - rank)):
+            for rows, kernel in ((r.u.to_rows(), m.rows - rank),
+                                 (r.v.transpose().to_rows(), m.cols - rank)):
                 if 0 < 2 * kernel <= rank:
                     covered += 1
-                    assert max(map(int.bit_length, t.entries)) <= 2 * hadamard_bits(m), m
+                    assert self.reduced_against_kernel(rows, rank), m
+                    bits = max(abs(x).bit_length() for row in rows for x in row)
+                    assert bits <= 2 * hadamard_bits(m), m
         assert covered >= 300
 
     # sha256 of `hlk snf` stdout on inputs whose kernel has more vectors than
@@ -579,7 +592,8 @@ class TestCertifiedPath:
     def test_snf_output_is_pinned(self, source, digest):
         # U and V are deterministic; these digests of the whole `hlk snf` output
         # were taken before the Hermite row steps were narrowed to their live span,
-        # the two rectangular anchors' once their kernel part was size-reduced.
+        # the two rectangular anchors' and the worked example's once their kernel
+        # part was size-reduced.
         if isinstance(source, str):
             text = (FIXTURES / source).read_text()
         else:
@@ -676,8 +690,8 @@ class TestPackedFirstPass:
         # _hermite calls on each anchor when the alternation ran its own first
         # row pass over the packed pass's [H, U]; that pass changed nothing.
         before = [3, 3, 4, 3, 4, 3, 3]
-        # The wide anchor's V has kernel columns past Hadamard's bound, and
-        # their Hermite form takes one more call.
+        # The wide anchor's V has 10 kernel columns against rank 20, and their
+        # Hermite form takes one more call; the square anchors have none.
         kernel_steps = [0, 0, 0, 0, 0, 0, 1]
         anchors = [splitmix_matrix(*source) for source, _ in SNF_DIGESTS[:7]]
         hermite, calls = exactla._hermite, []
@@ -714,13 +728,13 @@ class TestPackedFirstPass:
 
     # sha256 of `hlk snf` stdout on inputs that leave the packed pass, taken
     # before a rank-deficient pass stopped at its first zero row and before
-    # the alternation took the first row pass's result as it stood; tall-12x8's
-    # once its kernel rows were size-reduced.
+    # the alternation took the first row pass's result as it stood;
+    # planted-16x16x12's and tall-12x8's once their kernel part was size-reduced.
     @pytest.mark.parametrize("make, branch, digest", [
         (lambda: product_matrix(1605, 16, 5, 10), "fell back",
          "b4937d4e395ed5ef6ea46613bc4856bf352edd68e739fc1eb8a28714aedcffec"),
         (lambda: planted_matrix(1612, 16, 12), "fell back",
-         "2512dab4dd88456ba1f59b665daccd941ab7aaf3a546a5ff91bb1be06739aec5"),
+         "ebf740770e3ab063d50d445093cdc738ec385a39d0f3a85b06d32a5096d82614"),
         (lambda: splitmix_matrix(1208, 12, 8, 100), "skipped",
          "5295a6043cbe788d72f63879adeb6ed6c0239bb6e91fae5b1e49ff35df37abe4"),
     ], ids=["rank-deficient-16x5x16", "planted-16x16x12", "tall-12x8"])
