@@ -3,9 +3,10 @@
 Subcommands: ``invariant`` and ``groups`` accept a diagram or matrix file
 (told apart by the first significant token), ``matrix`` turns a diagram
 into its linking matrix, ``snf`` prints the full reduction, ``selftest``
-runs the randomized property suite.  Exit codes: 0 success, 1 usage or
-flag error, 2 parse error or an input too large for memory, 3 invalid
-diagram, 4 self-test failure.
+runs the randomized property suite.  Exit codes: 0 success; 1 usage or flag
+error, an unreadable input or an unwritable result; 2 parse error, input that
+is not UTF-8 or an input too large for memory; 3 invalid diagram; 4 self-test
+failure.
 """
 
 import argparse
@@ -125,10 +126,8 @@ def _decode(data: bytes) -> str:
     except UnicodeDecodeError as exc:
         # The codec decodes what follows the mark, and counts positions from there.
         shift = len(data) - len(exc.object)
-        if not shift:
-            raise
-        raise UnicodeDecodeError(exc.encoding, data, exc.start + shift, exc.end + shift,
-                                 exc.reason) from None
+        exc.object, exc.start, exc.end = data, exc.start + shift, exc.end + shift
+        raise
 
 
 def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
@@ -150,28 +149,26 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
             print(f"{prog}: error: {message}", file=err)
         return code
 
-    def emit(result: str, code: int) -> int:
-        # Flushed here, so that a write error fails this call, not the exit.
-        try:
-            out.write(result)
-            out.flush()
-        except OSError as exc:
-            return fail(EXIT_USAGE, f"cannot write the result: {exc}")
-        return code
-
     if not known:
         return fail(EXIT_USAGE, f"unknown subcommand {config.subcommand!r}")
-    if config.subcommand == "selftest":
-        if config.trials < 1:
-            return fail(EXIT_USAGE, "--trials must be at least 1")
-        summary = io.StringIO()
-        failures = run_selftest(config.trials, config.seed, verbose=config.verbose, out=summary, err=err)
-        return emit(summary.getvalue(), EXIT_SELFTEST if failures else EXIT_OK)
-
-    # Reading, parsing, reducing and formatting can each need memory in
-    # proportion to the input; running out is reported, not raised.
+    # Results are exact, so printing them lifts Python's int-to-str digit limit
+    # once the input is parsed; the parser still refuses entries over it.  The
+    # caller's setting is restored afterwards.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    previous = sys.get_int_max_str_digits() if set_digits else None
+    # The except clauses below are the whole exit-code table.  Reading, parsing,
+    # reducing, formatting and writing can each need memory in proportion to the
+    # input; running out is reported, not raised.
     try:
-        try:
+        code = EXIT_OK
+        if config.subcommand == "selftest":
+            if config.trials < 1:
+                return fail(EXIT_USAGE, "--trials must be at least 1")
+            summary = io.StringIO()
+            if run_selftest(config.trials, config.seed, verbose=config.verbose, out=summary, err=err):
+                code = EXIT_SELFTEST
+            result = summary.getvalue()
+        else:
             if config.input_path in (None, "-"):
                 if stdin is None and sys.stdin is None:
                     # Python sets sys.stdin to None when descriptor 0 is closed.
@@ -180,37 +177,17 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
             else:
                 with open(config.input_path, "rb") as handle:
                     text = _decode(handle.read())
-        except OSError as exc:
-            return fail(EXIT_USAGE, exc)
-        except UnicodeDecodeError as exc:
-            return fail(EXIT_PARSE, f"input is not UTF-8: {exc}")
-
-        kind = detect_format(text)
-        if kind is None:
-            expected = "expected a 'component' or 'matrix' line first"
-            return fail(EXIT_PARSE, f"input is neither a diagram nor a matrix file ({expected})")
-        if config.subcommand == "matrix" and kind != "diagram":
-            return fail(EXIT_USAGE, "this subcommand takes a diagram file")
-
-        try:
-            if kind == "diagram":
-                m = linking_matrix(parse_diagram(text))
-            else:
-                m = parse_matrix(text)
-        except (DiagramParseError, MatrixParseError) as exc:
-            return fail(EXIT_PARSE, exc)
-        except InvalidDiagramError as exc:
-            return fail(EXIT_INVALID, exc)
-
-        # Results are exact, so printing them lifts Python's int-to-str digit limit;
-        # the parser above still refuses entries over it.  The caller's setting is
-        # restored afterwards.  Each result is formatted whole before it is written,
-        # so a failure leaves stdout empty.
-        set_digits = getattr(sys, "set_int_max_str_digits", None)
-        if set_digits:
-            previous = sys.get_int_max_str_digits()
-            set_digits(0)
-        try:
+            kind = detect_format(text)
+            if kind is None:
+                expected = "expected a 'component' or 'matrix' line first"
+                return fail(EXIT_PARSE, f"input is neither a diagram nor a matrix file ({expected})")
+            if config.subcommand == "matrix" and kind != "diagram":
+                return fail(EXIT_USAGE, "this subcommand takes a diagram file")
+            m = linking_matrix(parse_diagram(text)) if kind == "diagram" else parse_matrix(text)
+            if set_digits:
+                set_digits(0)
+            # Each result is formatted whole before it is written, so a failure
+            # leaves stdout empty.
             if config.subcommand == "invariant":
                 result = f"Lk = {handlebody_linking(m)}\n"
             elif config.subcommand == "matrix":
@@ -225,12 +202,26 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
                 r = smith_normal_form(m)
                 blocks = (("D", r.d), ("U", r.u), ("V", r.v))
                 result = "".join(f"# {label}\n{format_matrix(part)}" for label, part in blocks)
-        finally:
-            if set_digits:
-                set_digits(previous)
+        try:
+            # Flushed here, so that a write error fails this call, not the exit.
+            out.write(result)
+            out.flush()
+        except OSError as exc:
+            return fail(EXIT_USAGE, f"cannot write the result: {exc}")
+        return code
+    except OSError as exc:
+        return fail(EXIT_USAGE, exc)
+    except UnicodeDecodeError as exc:
+        return fail(EXIT_PARSE, f"input is not UTF-8: {exc}")
+    except (DiagramParseError, MatrixParseError) as exc:
+        return fail(EXIT_PARSE, exc)
+    except InvalidDiagramError as exc:
+        return fail(EXIT_INVALID, exc)
     except MemoryError:
         return fail(EXIT_PARSE, "the input is too large for memory")
-    return emit(result, EXIT_OK)
+    finally:
+        if set_digits:
+            set_digits(previous)
 
 
 def main(argv=None) -> int:

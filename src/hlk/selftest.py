@@ -130,6 +130,13 @@ class SplitMix64:
         return self.next_u64() % n
 
 
+def _require_ints(**values) -> None:
+    """Raise ``TypeError`` naming the first of ``values`` whose type is not exactly ``int``."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def random_unimodular(size: int, seed: int, ops: int) -> IntMatrix:
     """Product of ``ops`` random elementary row operations on the identity.
 
@@ -138,6 +145,7 @@ def random_unimodular(size: int, seed: int, ops: int) -> IntMatrix:
     result is unimodular.  Driven by :class:`SplitMix64`, hence fully
     reproducible from ``seed``.
     """
+    _require_ints(size=size, ops=ops)
     if size < 1:
         raise ValueError("size must be at least 1")
     if ops < 0:
@@ -168,6 +176,7 @@ def apply_slide(m: IntMatrix, kind: str, src: int, dst: int, coeff: int) -> IntM
     This is the matrix shadow of sliding one loop of a bouquet graph along
     another; it never changes the elementary divisors.
     """
+    _require_ints(src=src, dst=dst, coeff=coeff)
     if kind not in ("row", "col"):
         raise ValueError(f"kind must be 'row' or 'col', got {kind!r}")
     if coeff not in (1, -1):

@@ -444,19 +444,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("subcommand, target", [
         ("groups", "read"), ("invariant", "parse_matrix"),
-        ("invariant", "handlebody_linking"), ("snf", "format_matrix"),
+        ("invariant", "handlebody_linking"), ("snf", "format_matrix"), ("invariant", "write"),
     ])
     def test_out_of_memory_is_a_parse_error(self, monkeypatch, subcommand, target):
-        # Reading, parsing, reducing and formatting each report it without a traceback.
+        # Reading, parsing, reducing, formatting and writing each report it without a traceback.
         def exhaust(*args):
             raise MemoryError
 
-        stdin = io.StringIO(WORKED_TEXT)
+        stdin, out, err = io.StringIO(WORKED_TEXT), io.StringIO(), io.StringIO()
         if target == "read":
             stdin.read = exhaust
+        elif target == "write":
+            out.write = exhaust
         else:
             monkeypatch.setattr(cli, target, exhaust)
-        out, err = io.StringIO(), io.StringIO()
         assert run(CliConfig(subcommand), stdin=stdin, out=out, err=err) == EXIT_PARSE
         assert out.getvalue() == ""
         assert err.getvalue() == f"hlk {subcommand}: error: the input is too large for memory\n"
@@ -554,6 +555,18 @@ class TestExitCodes:
             done = subprocess.run([sys.executable, "-m", "hlk.cli", *argv], env=process_env(),
                                   input=text.encode(), stdout=stdout, stderr=full, timeout=60)
         assert (done.returncode, done.stdout) == expected
+
+    def test_processes_run_clean_in_development_mode(self, fixtures_dir):
+        # -X dev reports unclosed files and other resource warnings; -W error
+        # turns them, and deprecation warnings, into failures.
+        runs = [(["invariant", "-"], WORKED_TEXT.encode()), (["selftest", "--trials", "20"], b"")]
+        for path in sorted(fixtures_dir.iterdir()):
+            subs = ["invariant", "groups", "snf"] + (["matrix"] if path.suffix == ".hlk" else [])
+            runs += [([sub, str(path)], b"") for sub in subs]
+        for argv, data in runs:
+            done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "hlk.cli", *argv],
+                                  env=process_env(), input=data, capture_output=True, timeout=60)
+            assert (done.returncode, done.stderr) == (EXIT_OK, b""), argv
 
 
 # --- the input layer as a whole ---------------------------------------------

@@ -112,6 +112,10 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             identity(2) @ identity(3)
 
+    def test_matmul_by_a_non_matrix(self):
+        with pytest.raises(TypeError):
+            identity(2) @ 3
+
     def test_immutability(self):
         m = identity(2)
         with pytest.raises(AttributeError):
@@ -1197,6 +1201,9 @@ class TestRandomUnimodular:
             random_unimodular(0, 1, 1)
         with pytest.raises(ValueError):
             random_unimodular(2, 1, -1)
+        for args, name in [((True, 1, 3), "size"), ((2.0, 1, 3), "size"), ((2, 1, 3.0), "ops")]:
+            with pytest.raises(TypeError, match=f"^{name} must be an int"):
+                random_unimodular(*args)
 
 
 # --- apply_slide -----------------------------------------------------------
@@ -1234,6 +1241,10 @@ class TestApplySlide:
             apply_slide(m, "row", 0, 0, 1)
         with pytest.raises(IndexError):
             apply_slide(m, "col", 0, 2, 1)
+        for args, name in [((True, 0, 1), "src"), ((0, 1.0, 1), "dst"), ((0, 1, True), "coeff"),
+                           ((0, 1, 1.0), "coeff")]:
+            with pytest.raises(TypeError, match=f"^{name} must be an int"):
+                apply_slide(m, "row", *args)
 
 
 # --- matrix file format ----------------------------------------------------

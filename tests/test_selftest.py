@@ -77,6 +77,9 @@ class TestSnfDefects:
         broken_chain = SNFResult(r.d, r.u, r.v, (1, 2, 3))
         assert any("chain" in d for d in snf_defects(worked_matrix, broken_chain))
 
+        m, one = IntMatrix.from_rows([[0, 0], [0, 5]]), IntMatrix.from_rows([[1, 0], [0, 1]])
+        assert snf_defects(m, SNFResult(m, one, one, (5,))) == ["zero diagonal entry ahead of a nonzero one"]
+
 
 class TestTrialDefects:
     def test_many_random_trials_clean(self):
