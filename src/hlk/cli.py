@@ -9,7 +9,6 @@ is not UTF-8 or an input too large for memory; 3 invalid diagram; 4 self-test
 failure.
 """
 
-import argparse
 import io
 import sys
 from contextlib import suppress
@@ -72,38 +71,6 @@ class CliConfig(_Record):
     def __init__(self, subcommand: str, input_path: str | None = None, trials: int = 100,
                  seed: int = 0, verbose: bool = False):
         super().__init__(subcommand, input_path, trials, seed, verbose)
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; this tool reserves 2 for
-    # parse errors, so remap usage problems to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _flag_int(text: str) -> int:
-    """A flag's integer: one ASCII token ``[+-]?[0-9]+``, as in matrix files."""
-    if " " not in text and _INTEGERS.fullmatch(text):
-        with suppress(ValueError):  # int() refuses over 4,300 digits
-            return int(text)
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hlk", description="Linking invariants of two-component handlebody-links.")
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    for name, text in _SUBCOMMANDS.items():
-        cmd = sub.add_parser(name, help=text, description=text)
-        if name != "selftest":
-            path_help = "input file, or - for standard input (default)"
-            cmd.add_argument("input_path", metavar="path", nargs="?", default="-", help=path_help)
-    cmd = sub.choices["selftest"]
-    cmd.description = "Run the randomized property suite over the reduction and invariant code."
-    cmd.add_argument("--trials", type=_flag_int, default=100, help="number of trials (default 100)")
-    cmd.add_argument("--seed", type=_flag_int, default=0, help="seed for the trial stream (default 0)")
-    cmd.add_argument("--verbose", action="store_true", help="report every trial, not only failures")
-    return parser
 
 
 def detect_format(text: str) -> str | None:
@@ -225,7 +192,36 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # Only flags need argparse, so importers of this module and callers of
+    # run never load it.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad flags; this tool reserves 2 for
+        # parse errors, so remap usage problems to 1.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _flag_int(text: str) -> int:
+        """A flag's integer: one ASCII token ``[+-]?[0-9]+``, as in matrix files."""
+        if " " not in text and _INTEGERS.fullmatch(text):
+            with suppress(ValueError):  # int() refuses over 4,300 digits
+                return int(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+    parser = _Parser(prog="hlk", description="Linking invariants of two-component handlebody-links.")
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    for name, text in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, help=text, description=text)
+        if name != "selftest":
+            path_help = "input file, or - for standard input (default)"
+            cmd.add_argument("input_path", metavar="path", nargs="?", default="-", help=path_help)
+    cmd = sub.choices["selftest"]
+    cmd.description = "Run the randomized property suite over the reduction and invariant code."
+    cmd.add_argument("--trials", type=_flag_int, default=100, help="number of trials (default 100)")
+    cmd.add_argument("--seed", type=_flag_int, default=0, help="seed for the trial stream (default 0)")
+    cmd.add_argument("--verbose", action="store_true", help="report every trial, not only failures")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -105,6 +105,13 @@ def minor_gcd_profile(m: IntMatrix) -> list[int]:
 _MASK64 = (1 << 64) - 1
 
 
+def _require_ints(**values) -> None:
+    """Raise ``TypeError`` naming the first of ``values`` whose type is not exactly ``int``."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 class SplitMix64:
     """splitmix64 stream; fixed constants, reproducible across platforms.
 
@@ -114,6 +121,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
+        _require_ints(seed=seed)
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -128,13 +136,6 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
-
-
-def _require_ints(**values) -> None:
-    """Raise ``TypeError`` naming the first of ``values`` whose type is not exactly ``int``."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def random_unimodular(size: int, seed: int, ops: int) -> IntMatrix:
@@ -295,6 +296,7 @@ def run_selftest(trials: int, seed: int, verbose: bool = False, out=None, err=No
     to ``err``.  A trial whose checks raise fails with one defect,
     ``raised <Type>: <message>``.
     """
+    _require_ints(trials=trials, seed=seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     out = sys.stdout if out is None else out

@@ -349,11 +349,20 @@ class TestSelftestCommand:
         assert main(["selftest", "--trials", "0"]) == EXIT_USAGE
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [True, 1.5])
+    def test_run_refuses_a_seed_that_is_not_an_int(self, seed):
+        with pytest.raises(TypeError, match="^seed must be an int"):
+            run_config(CliConfig("selftest", trials=1, seed=seed))
+
+
+HLK_USAGE = "usage: hlk [-h] subcommand ...\n"
+
 
 class TestExitCodes:
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+        message = "the following arguments are required: subcommand"
+        assert capsys.readouterr() == ("", f"{HLK_USAGE}hlk: error: {message}\n")
 
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == EXIT_USAGE
@@ -388,10 +397,31 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert main(["invariant", "--frobnicate"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"{HLK_USAGE}hlk: error: unrecognized arguments: --frobnicate\n")
+
+    def test_second_path(self, capsys):
+        assert main(["invariant", "a", "b"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"{HLK_USAGE}hlk: error: unrecognized arguments: b\n")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
-        assert "subcommand" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out.startswith(HLK_USAGE)
+        assert "subcommand" in captured.out and captured.err == ""
+
+    def test_selftest_help(self, capsys):
+        assert main(["selftest", "--help"]) == EXIT_OK
+        captured = capsys.readouterr()
+        usage = "usage: hlk selftest [-h] [--trials TRIALS] [--seed SEED] [--verbose]\n"
+        assert captured.out.startswith(usage) and captured.err == ""
+
+    @pytest.mark.parametrize("argv, passed", [
+        (["selftest", "--trials=3", "--seed=-7"], "3/3"),
+        (["selftest", "--tri", "2"], "2/2"),
+    ], ids=["equals-sign", "abbreviation"])
+    def test_flag_spellings(self, capsys, argv, passed):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == (f"{passed} passed\n", "")
 
     def test_missing_file(self, capsys):
         assert main(["invariant", "/nonexistent/path.hlk"]) == EXIT_USAGE
@@ -560,13 +590,18 @@ class TestExitCodes:
         # -X dev reports unclosed files and other resource warnings; -W error
         # turns them, and deprecation warnings, into failures.
         runs = [(["invariant", "-"], WORKED_TEXT.encode()), (["selftest", "--trials", "20"], b"")]
+        # main imports argparse when it is called, not with the module.
+        runs += [(["--help"], b""), (["selftest", "--help"], b"")]
         for path in sorted(fixtures_dir.iterdir()):
             subs = ["invariant", "groups", "snf"] + (["matrix"] if path.suffix == ".hlk" else [])
             runs += [([sub, str(path)], b"") for sub in subs]
+        hlk = [sys.executable, "-X", "dev", "-W", "error", "-m", "hlk.cli"]
         for argv, data in runs:
-            done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "hlk.cli", *argv],
-                                  env=process_env(), input=data, capture_output=True, timeout=60)
+            done = subprocess.run([*hlk, *argv], env=process_env(), input=data, capture_output=True, timeout=60)
             assert (done.returncode, done.stderr) == (EXIT_OK, b""), argv
+        done = subprocess.run([*hlk, "selftest", "--trials", "x"], env=process_env(), capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
+        assert done.stderr.endswith(b"hlk selftest: error: argument --trials: invalid int value: 'x'\n")
 
 
 # --- the input layer as a whole ---------------------------------------------

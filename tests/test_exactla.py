@@ -1165,6 +1165,11 @@ class TestSplitMix64:
     def test_seed_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
 
+    @pytest.mark.parametrize("seed", [True, 1.5, 1.0])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(TypeError, match="^seed must be an int"):
+            SplitMix64(seed)
+
     def test_below_range(self):
         r = SplitMix64(42)
         draws = [r.below(10) for _ in range(500)]
@@ -1201,7 +1206,10 @@ class TestRandomUnimodular:
             random_unimodular(0, 1, 1)
         with pytest.raises(ValueError):
             random_unimodular(2, 1, -1)
-        for args, name in [((True, 1, 3), "size"), ((2.0, 1, 3), "size"), ((2, 1, 3.0), "ops")]:
+        for args, name in [
+            ((True, 1, 3), "size"), ((2.0, 1, 3), "size"), ((2, 1, 3.0), "ops"),
+            ((2, True, 3), "seed"), ((2, 1.5, 3), "seed"),
+        ]:
             with pytest.raises(TypeError, match=f"^{name} must be an int"):
                 random_unimodular(*args)
 

@@ -94,18 +94,33 @@ def test_every_private_definition_is_used():
     assert defined - used == set()
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # Every hlk command imports hlk.cli first; these modules once cost most of
-    # that import.  Only what the import adds counts: site may preload some.
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-        "import hlk.cli; print(*sorted(set(sys.modules) - before))"
-    )
+def fresh_process(code: str) -> str:
+    """The standard output of ``code`` run in a fresh ``python -I`` that imports hlk from this checkout."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); " + code
     done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, check=True, timeout=60)
-    added = set(done.stdout.split())
+    return done.stdout
+
+
+def test_cli_import_loads_no_argparse_dataclasses_inspect_or_typing():
+    # Every hlk command imports hlk.cli first; these modules once cost most of
+    # that import.  Only what the import adds counts: site may preload some.
+    added = fresh_process("before = set(sys.modules); import hlk.cli; print(*sorted(set(sys.modules) - before))")
+    added = set(added.split())
     assert "hlk.cli" in added
-    assert added & {"dataclasses", "inspect", "typing"} == set()
+    assert added & {"argparse", "gettext", "dataclasses", "inspect", "typing"} == set()
+
+
+def test_only_main_loads_argparse():
+    # run reads no flags, so its callers never load argparse; main still does,
+    # so the import was deferred, not dropped.
+    worked = (ROOT / "fixtures" / "worked_example.mat").read_text()
+    run = f"import io; from hlk import cli; print(cli.run(cli.CliConfig('invariant'), stdin=io.StringIO({worked!r})))"
+    loaded = "; print('argparse' in sys.modules)"
+    assert fresh_process(run + loaded) == "Lk = {1, 2, 4}\n0\nFalse\n"
+    help_text = fresh_process("from hlk import cli; print(cli.main(['--help']))" + loaded)
+    assert help_text.startswith("usage: hlk [-h] subcommand ...\n")
+    assert help_text.endswith("\n0\nTrue\n")
 
 
 def imported_modules(tree: ast.AST) -> set[str]:

@@ -126,6 +126,16 @@ class TestRunSelftest:
         with pytest.raises(ValueError):
             run_selftest(0, 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((True, 0), "trials"), ((1.0, 0), "trials"), ((1, True), "seed"), ((1, 1.5), "seed"),
+    ])
+    def test_trials_and_seed_must_be_ints(self, args, name):
+        # Refused before any trial runs or any line is written.
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            run_selftest(*args, out=out, err=err)
+        assert (out.getvalue(), err.getvalue()) == ("", "")
+
     @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
     def test_unwritable_trial_lines_change_no_result(self, monkeypatch, failing):
         def refuse(*args):
