@@ -20,8 +20,8 @@ from .diagram import (
     parse_diagram,
 )
 from .exactla import (
-    _INTEGERS,
     MatrixParseError,
+    _decimal_ints,
     _Record,
     _significant_lines,
     format_matrix,
@@ -29,7 +29,6 @@ from .exactla import (
     smith_normal_form,
 )
 from .invariant import handlebody_linking, quotient_groups
-from .selftest import run_selftest
 
 __all__ = [
     "CliConfig",
@@ -131,6 +130,7 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
         if config.subcommand == "selftest":
             if config.trials < 1:
                 return fail(EXIT_USAGE, "--trials must be at least 1")
+            from .selftest import run_selftest  # only this subcommand loads the self-test
             summary = io.StringIO()
             if run_selftest(config.trials, config.seed, verbose=config.verbose, out=summary, err=err):
                 code = EXIT_SELFTEST
@@ -205,9 +205,11 @@ def main(argv=None) -> int:
 
     def _flag_int(text: str) -> int:
         """A flag's integer: one ASCII token ``[+-]?[0-9]+``, as in matrix files."""
-        if " " not in text and _INTEGERS.fullmatch(text):
-            with suppress(ValueError):  # int() refuses over 4,300 digits
-                return int(text)
+        # _decimal_ints takes tokens as a line splits them, so a flag with any
+        # whitespace is refused first.
+        with suppress(ValueError):  # int() refuses over 4,300 digits
+            if text.split() == [text] and (values := _decimal_ints([text])):
+                return values[0]
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
     parser = _Parser(prog="hlk", description="Linking invariants of two-component handlebody-links.")
@@ -224,6 +226,10 @@ def main(argv=None) -> int:
     cmd.add_argument("--verbose", action="store_true", help="report every trial, not only failures")
     try:
         args = parser.parse_args(argv)
+        for name in ("trials", "seed"):
+            # argparse before Python 3.13 drops the value of --seed=-- and stores [].
+            if vars(args).get(name) == []:
+                cmd.error(f"argument --{name}: invalid int value: '--'")
     except SystemExit as exc:
         return int(exc.code or 0)
     return run(CliConfig(**vars(args)))

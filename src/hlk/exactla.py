@@ -6,7 +6,6 @@ exceed machine words.
 """
 
 import math
-import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import chain, compress
@@ -35,6 +34,13 @@ class _ParseError(ValueError):
 
 class MatrixParseError(_ParseError):
     """Raised when a matrix file cannot be parsed."""
+
+
+def _require_ints(**values) -> None:
+    """Raise ``TypeError`` naming the first of ``values`` whose type is not exactly ``int``."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 class _Record:
@@ -555,8 +561,6 @@ def elementary_divisors(m: IntMatrix) -> list[int]:
 # runs of ASCII spaces.  Matrix file format: header `matrix <m> <n>`, then m rows
 # of n integers, each an ASCII token `[+-]?[0-9]+`.
 
-_INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
-
 
 def _tokens(line: str) -> list[str] | None:
     """The tokens of one line, or None if it is blank or a comment."""
@@ -604,14 +608,33 @@ def _sliced_lines(text: str) -> Iterator[list[str]]:
         start, size = end, min(16 * size, _SLICE)
 
 
+def _decimal_ints(tokens: list[str]) -> list[int] | None:
+    """The values of ``tokens``, or None unless each is an ASCII token ``[+-]?[0-9]+``.
+
+    The tokens hold no space or line break.  Raises ValueError when every token
+    is one but int() refuses a length (over 4,300 digits by default).
+    """
+    row = " ".join(tokens)
+    # int() also skips whitespace around a number and reads underscores and
+    # non-ASCII digits.  In ASCII it skips only space, tab and the line breaks
+    # \n \v \f \r, so tab is the one a line's tokens can hold.
+    if row.isascii() and "_" not in row and "\t" not in row:
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:
+            if all((t[1:] if t[:1] in "+-" else t).isdigit() for t in tokens):
+                raise
+    return None
+
+
 def _integers(tokens: list[str], lineno: int, what: str) -> list[int]:
-    if not _INTEGERS.fullmatch(" ".join(tokens)):
-        raise MatrixParseError(f"{what} must be signed decimal integers", line=lineno)
     try:
-        return [int(t) for t in tokens]
+        values = _decimal_ints(tokens)
     except ValueError:
-        # The grammar held, so int() refused the length (over 4,300 digits by default).
         raise MatrixParseError(f"{what} exceed the integer digit limit", line=lineno) from None
+    if values is None:
+        raise MatrixParseError(f"{what} must be signed decimal integers", line=lineno)
+    return values
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -640,7 +663,8 @@ def parse_matrix(text: str) -> IntMatrix:
         if len(tokens) != n:
             raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
         rows.append(_integers(tokens, lineno, "entries"))
-    return IntMatrix.from_rows(rows, cols=n)
+    # Every row has n entries, so the rows pack as they are.
+    return IntMatrix(m, n, tuple(chain.from_iterable(rows)))
 
 
 def format_matrix(m: IntMatrix) -> str:

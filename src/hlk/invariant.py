@@ -7,7 +7,7 @@ modulo the cycles of the other component; the linking matrix and its
 transpose present them, and the two share one divisor chain.
 """
 
-from .exactla import IntMatrix, _Record, elementary_divisors
+from .exactla import IntMatrix, _Record, _require_ints, elementary_divisors
 
 __all__ = [
     "LkInvariant",
@@ -99,6 +99,7 @@ def reconstruct_lk(g: AbelianGroup, l: int) -> LkInvariant:
     presentation) restores them as leading 1s.  ``l = 0`` gives the zero
     marker.
     """
+    _require_ints(l=l)
     if l < len(g.torsion):
         raise ValueError(
             f"chain length {l} is shorter than the torsion list ({len(g.torsion)} entries)"

@@ -15,7 +15,7 @@ import sys
 from contextlib import suppress
 from itertools import combinations
 
-from .exactla import IntMatrix, SNFResult, _identity_rows, elementary_divisors, smith_normal_form
+from .exactla import IntMatrix, SNFResult, _identity_rows, _require_ints, elementary_divisors, smith_normal_form
 from .invariant import AbelianGroup, LkInvariant, quotient_groups, reconstruct_lk
 
 __all__ = [
@@ -103,13 +103,6 @@ def minor_gcd_profile(m: IntMatrix) -> list[int]:
 # Deterministic randomness for property testing.
 
 _MASK64 = (1 << 64) - 1
-
-
-def _require_ints(**values) -> None:
-    """Raise ``TypeError`` naming the first of ``values`` whose type is not exactly ``int``."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 class SplitMix64:

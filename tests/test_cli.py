@@ -342,7 +342,8 @@ class TestSelftestCommand:
         assert len(captured.err.splitlines()) == 3
 
     def test_failure_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_selftest", lambda *a, **k: 2)
+        # cli.run imports run_selftest when it runs the self-test.
+        monkeypatch.setattr("hlk.selftest.run_selftest", lambda *a, **k: 2)
         assert main(["selftest", "--trials", "10"]) == EXIT_SELFTEST
 
     def test_trials_must_be_positive(self, capsys):
@@ -422,6 +423,13 @@ class TestExitCodes:
     def test_flag_spellings(self, capsys, argv, passed):
         assert main(argv) == EXIT_OK
         assert capsys.readouterr() == (f"{passed} passed\n", "")
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_a_flag_value_of_two_dashes(self, capsys, flag):
+        # argparse before Python 3.13 stored [] for it, which failed in run.
+        assert main(["selftest", f"{flag}=--"]) == EXIT_USAGE
+        usage = "usage: hlk selftest [-h] [--trials TRIALS] [--seed SEED] [--verbose]\n"
+        assert capsys.readouterr() == ("", f"{usage}hlk selftest: error: argument {flag}: invalid int value: '--'\n")
 
     def test_missing_file(self, capsys):
         assert main(["invariant", "/nonexistent/path.hlk"]) == EXIT_USAGE

@@ -3,6 +3,8 @@ import hashlib
 import io
 import itertools
 import math
+import random
+import re
 import sys
 import time
 import tracemalloc
@@ -1359,6 +1361,8 @@ class TestMatrixFormat:
             ("matrix \u0661 1\n3\n", 1),
             ("matrix 1 \uff11\n3\n", 1),
             ("# comment\nmatrix 1_0 2\n", 2),
+            ("matrix 1 3\n0 5\t 0\n", 2),  # int() skips a tab
+            ("matrix 1 3\n0 5\x1f 0\n", 2),  # whitespace to str.split(), not to int()
         ]
         for text, line in cases:
             with pytest.raises(MatrixParseError) as info:
@@ -1377,6 +1381,89 @@ class TestMatrixFormat:
     def test_parse_error_is_value_error(self):
         with pytest.raises(ValueError):
             parse_matrix("junk")
+
+
+# The grammar of an integer token as the README states it: the reference the
+# parser's own check is compared with.
+README_INTEGER = re.compile(r"[+-]?[0-9]+")
+# What ends a token in a matrix file: a space or a line break.
+TOKEN_ENDS = set(" \n\r\x0b\x0c\x1c\x1d\x1e")
+
+
+def grammar_tokens(count):
+    """Every one-character token, then ``count`` seeded ones of two or three characters.
+
+    They come from every ASCII character, a no-break space, a figure space and
+    three non-ASCII digits, with digits and signs drawn more often.
+    """
+    alphabet = [chr(c) for c in range(128)] + ["\xa0", "\u2007", "\u0663", "\uff11", "\U0001d7d9"]
+    rng = random.Random(2012)
+    weighted = alphabet + list("0123456789+-") * 12
+    return alphabet + ["".join(rng.choices(weighted, k=rng.randint(2, 3))) for _ in range(count)]
+
+
+class TestIntegerGrammar:
+    """Entries, header dimensions and integer flags accept exactly README_INTEGER."""
+
+    FILE_TOKENS = [t for t in grammar_tokens(6000) if not TOKEN_ENDS & set(t)]
+
+    def test_entries(self):
+        assert sum(bool(README_INTEGER.fullmatch(t)) for t in self.FILE_TOKENS) > 1000
+        for token in self.FILE_TOKENS:
+            # Between two other entries, so no strip of the line reaches the token.
+            text = f"matrix 1 3\n0 {token} 0\n"
+            if README_INTEGER.fullmatch(token):
+                assert parse_matrix(text).entries == (0, int(token), 0), repr(token)
+            else:
+                with pytest.raises(MatrixParseError) as info:
+                    parse_matrix(text)
+                assert str(info.value) == "line 2: entries must be signed decimal integers", repr(token)
+
+    def test_header(self):
+        for token in self.FILE_TOKENS:
+            text = f"matrix {token} 0\n"
+            if README_INTEGER.fullmatch(token) and int(token) >= 0:
+                assert parse_matrix(text).shape == (int(token), 0), repr(token)
+                continue
+            with pytest.raises(MatrixParseError) as info:
+                parse_matrix(text)
+            problem = "must be non-negative" if README_INTEGER.fullmatch(token) else "must be signed decimal integers"
+            assert str(info.value) == f"line 1: matrix dimensions {problem}", repr(token)
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_flags(self, flag, monkeypatch, capsys):
+        # Flag values may hold spaces and line breaks too.  The self-test is
+        # replaced by one that records its arguments.
+        calls = []
+        monkeypatch.setattr("hlk.selftest.run_selftest", lambda trials, seed, **kw: calls.append((trials, seed)))
+        for token in grammar_tokens(1500):
+            code = cli.main(["selftest", "--trials=1", "--seed=0", f"{flag}={token}"])
+            err = capsys.readouterr().err
+            value = int(token) if README_INTEGER.fullmatch(token) else None
+            if value is None:
+                assert (code, err.splitlines()[-1]) == (1, f"hlk selftest: error: argument {flag}: "
+                                                           f"invalid int value: {token!r}"), repr(token)
+            elif flag == "--trials" and value < 1:
+                assert (code, err) == (1, "hlk selftest: error: --trials must be at least 1\n"), repr(token)
+            else:
+                assert (code, err) == (0, ""), repr(token)
+                assert calls.pop() == ((value, 0) if flag == "--trials" else (1, value))
+        assert calls == []
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit here")
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_a_token_over_the_digit_limit_is_named(self, sign):
+        token = sign + "9" * (INT_DIGIT_LIMIT + 1)
+        cases = [
+            (f"matrix 1 2\n{token} 1\n", "line 2: entries exceed the integer digit limit"),
+            (f"matrix {token} 0\n", "line 1: matrix dimensions exceed the integer digit limit"),
+            # A token outside the grammar is named first, wherever it stands.
+            (f"matrix 1 2\n{token} 1_0\n", "line 2: entries must be signed decimal integers"),
+        ]
+        for text, message in cases:
+            with pytest.raises(MatrixParseError) as info:
+                parse_matrix(text)
+            assert str(info.value) == message
 
 
 # --- property tests --------------------------------------------------------

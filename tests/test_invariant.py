@@ -127,6 +127,16 @@ class TestReconstructLk:
         with pytest.raises(ValueError, match="chain length"):
             reconstruct_lk(AbelianGroup(0, (2, 4)), 1)
 
+    @pytest.mark.parametrize("l", [True, 2.5, 2.0])
+    def test_chain_length_must_be_an_int(self, l):
+        # True once read as 1 and gave {1}; 2.5 failed inside the padding.
+        with pytest.raises(TypeError, match="^l must be an int"):
+            reconstruct_lk(AbelianGroup(2), l)
+
+    def test_rejects_negative_chain_length(self):
+        with pytest.raises(ValueError, match="chain length -1"):
+            reconstruct_lk(AbelianGroup(2), -1)
+
     def test_round_trip_with_quotient_group(self, worked_matrix):
         a1, _ = quotient_groups(worked_matrix)
         assert reconstruct_lk(a1, len(elementary_divisors(worked_matrix))) == handlebody_linking(worked_matrix)

@@ -123,6 +123,28 @@ def test_only_main_loads_argparse():
     assert help_text.endswith("\n0\nTrue\n")
 
 
+def test_only_the_selftest_subcommand_loads_selftest():
+    # The reading commands never run the self-test, so hlk.selftest loads on
+    # first use: by the selftest subcommand or one of the package's names for it.
+    worked = (ROOT / "fixtures" / "worked_example.mat").read_text()
+    run = f"import io; from hlk import cli; print(cli.run(cli.CliConfig('groups'), stdin=io.StringIO({worked!r})))"
+    loaded = "; print('hlk.selftest' in sys.modules)"
+    assert fresh_process(run + loaded).endswith("l = 3\n0\nFalse\n")
+    selftest = "from hlk import cli; print(cli.main(['selftest', '--trials', '1']))"
+    assert fresh_process(selftest + loaded) == "1/1 passed\n0\nTrue\n"
+    names = ("import hlk; from hlk import run_selftest, SplitMix64; "
+             "print(run_selftest.__module__, SplitMix64(0).next_u64(), hlk.selftest.snf_defects.__name__, "
+             "*sorted(hlk.__all__))")
+    module, stream, defects, *public = fresh_process(names).split()
+    assert (module, stream, defects) == ("hlk.selftest", str(hlk.SplitMix64(0).next_u64()), "snf_defects")
+    assert public == sorted(PUBLIC_NAMES)
+
+
+def test_a_missing_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'hlk' has no attribute 'selftests'$"):
+        getattr(hlk, "selftests")
+
+
 def imported_modules(tree: ast.AST) -> set[str]:
     """Dotted names of the modules and names that ``tree`` imports, relative ones without their dots."""
     names = set()
@@ -147,6 +169,13 @@ def test_checking_code_lives_in_selftest():
         if any("selftest" in name.split(".") for name in imported_modules(tree))
     }
     assert importers == {"cli.py", "__init__.py"}
+
+
+def test_package_imports_no_re():
+    # Integer tokens are checked with str methods and int(): a compiled regex
+    # cost about 0.15 ms of every import of hlk.
+    imported = {name.split(".")[0] for tree in MODULES.values() for name in imported_modules(tree)}
+    assert "re" not in imported and "exactla" in imported
 
 
 def splitlines_calls(tree: ast.AST) -> list[ast.Call]:
