@@ -459,40 +459,39 @@ def _alternate(b, m, n):
     return sum(1 for i in range(min(m, n)) if b[i][i])
 
 
-def _chain(b, r):
-    """Make the first ``r`` diagonal entries of ``b`` a positive divisor chain and return it.
+def _chain(d, u, w):
+    """Make the diagonal ``d`` of ``U A V`` a positive divisor chain in place and return it.
 
-    A violating pair (x, y) becomes (g, xy/g) with g = gcd(x, y) = s*x + t*y,
-    by one row and one column step, each of determinant 1.  Each fix strictly
-    shrinks |d_i|, so the sweep settles.  s is the inverse of x/g modulo
-    k = |y/g|, taken nearest zero to keep a bordered ``b``'s U and V small.
+    ``u`` holds U's rows and ``w`` V's columns, each empty where not kept.  A
+    violating pair (x, y) becomes (g, xy/g) with g = gcd(x, y) = s*x + t*y, by
+    one row step on U and one column step on V, each of determinant 1.  Each fix
+    strictly shrinks |d_i|, so the sweep settles.  s is the inverse of x/g
+    modulo k = |y/g|, taken nearest zero to keep U and V small.
     """
     changed = True
     while changed:
         changed = False
-        for i in range(r - 1):
-            x, y = b[i][i], b[i + 1][i + 1]
+        for i in range(len(d) - 1):
+            x, y = d[i], d[i + 1]
             if y % x:
                 g = math.gcd(x, y)
                 k = abs(y // g)
                 s = (pow(x // g, -1, k) + k // 2) % k - k // 2
                 t = (g - s * x) // y
-                b[i], b[i + 1] = _combine(b[i], b[i + 1], s, t, -y // g, x // g)
-                cols = _combine([row[i] for row in b], [row[i + 1] for row in b],
-                                1, 1, -t * y // g, s * x // g)
-                for row, e, f in zip(b, *cols):
-                    row[i], row[i + 1] = e, f
+                d[i], d[i + 1] = g, x // g * y
+                u[i], u[i + 1] = _combine(u[i], u[i + 1], s, t, -y // g, x // g)
+                w[i], w[i + 1] = _combine(w[i], w[i + 1], 1, 1, -t * y // g, s * x // g)
                 changed = True
 
-    for i in range(r):
-        if b[i][i] < 0:
-            b[i] = [-x for x in b[i]]
-    return [b[i][i] for i in range(r)]
+    for i, x in enumerate(d):
+        if x < 0:
+            d[i], u[i] = -x, [-e for e in u[i]]
+    return d
 
 
-def _reduce_against_kernel(rows, rank, columns=False):
-    """``rows`` (U's rows, or V's columns where ``columns``) with those before
-    ``rank`` size-reduced against the Hermite form of those past it.
+def _reduce_against_kernel(rows, rank):
+    """Size-reduce ``rows`` (U's rows or V's columns) before ``rank`` in place
+    against the Hermite form of those past it.
 
     It runs only when there are at most half as many kernel vectors as
     ``rank``: the Hermite pass over k of them takes about k² row steps.  The
@@ -501,15 +500,12 @@ def _reduce_against_kernel(rows, rank, columns=False):
     in [0, pivot).
     """
     if not 0 < 2 * (len(rows) - rank) <= rank:
-        return rows
-    if columns:
-        rows = _transpose(rows)
+        return
     width = len(rows[0])
     rows[rank:] = kernel = _hermite(rows[rank:], width)
     pivots = [(row, next(compress(range(width), row))) for row in kernel]
     for row in rows[:rank]:
         _reduce_row(row, pivots)
-    return _transpose(rows) if columns else rows
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
@@ -531,19 +527,21 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     del a  # A's rows are not held through the alternation
     b += [row + [0] * r for row in _identity_rows(c)]
     rank = _alternate(b, r, c)
-    divisors = _chain(b, rank)
-    d = IntMatrix(r, c, tuple(chain.from_iterable(row[:c] for row in b[:r])))
+    # A is diagonal now: the chain repair takes its diagonal, U's rows and V's columns.
     u = [row[c:] for row in b[:r]]
-    v = [row[:c] for row in b[r:]]
+    w = _transpose([row[:c] for row in b[r:]])
+    divisors = _chain([b[i][i] for i in range(rank)], u, w)
     del b
+    d = [0] * (r * c)
+    d[: rank * (c + 1) : c + 1] = divisors
     # The rows of U and the columns of V past the rank span A's left kernel and
     # its kernel, so adding them to the other rows and columns changes neither
     # U A nor A V; the others are size-reduced against them where the kernel is
     # small next to the rank.
-    u = _reduce_against_kernel(u, rank)
-    v = _reduce_against_kernel(v, rank, columns=True)
-    return SNFResult(d, IntMatrix(r, r, tuple(chain.from_iterable(u))),
-                     IntMatrix(c, c, tuple(chain.from_iterable(v))), divisors)
+    _reduce_against_kernel(u, rank)
+    _reduce_against_kernel(w, rank)
+    return SNFResult(IntMatrix(r, c, tuple(d)), IntMatrix(r, r, tuple(chain.from_iterable(u))),
+                     IntMatrix(c, c, tuple(chain.from_iterable(zip(*w)))), divisors)
 
 
 def elementary_divisors(m: IntMatrix) -> list[int]:
@@ -552,7 +550,8 @@ def elementary_divisors(m: IntMatrix) -> list[int]:
         # to_rows would build one empty list per row of an m x 0 matrix.
         return []
     a = m.to_rows()
-    return _chain(a, _diagonalize(a, 50 * m.rows * min(m.rows, m.cols)))
+    r = _diagonalize(a, 50 * m.rows * min(m.rows, m.cols))
+    return _chain([a[i][i] for i in range(r)], [[]] * r, [[]] * r)
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,8 @@ class TestDivisorsOnlyPath:
                 hand_offs = len(shapes)
                 r = exactla._diagonalize(a, budget)
                 assert len(a) == m.rows and {len(row) for row in a} == {m.cols}, m
-                assert exactla._chain(a, r) == chain, (m, budget)
+                assert exactla._chain([a[i][i] for i in range(r)], [[]] * r, [[]] * r) == chain, \
+                    (m, budget)
                 if len(shapes) == hand_offs:
                     break
         assert len(shapes) > 1000
@@ -435,6 +436,24 @@ def planted_matrix(seed, n, rank):
         rows.append([0] * i + [d if i < rank else 0] + [0] * (n - 1 - i))
     diagonal = IntMatrix.from_rows(rows, cols=n)
     return random_unimodular(n, seed + 1, 6 * n) @ diagonal @ random_unimodular(n, seed + 2, 6 * n)
+
+
+def diagonal_matrix(n, s):
+    """n x n, diagonal entry i ``below(s) + 1`` from SplitMix64(1), zero elsewhere."""
+    rng = SplitMix64(1)
+    d = [rng.below(s) + 1 for _ in range(n)]
+    return IntMatrix.from_rows([[d[i] * (i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def block_diagonal_matrix(n, s):
+    """n x n (n even), each 2x2 diagonal block four ``below(s) + 1`` drawn
+    row-major from SplitMix64(1), zero elsewhere."""
+    rng = SplitMix64(1)
+    rows = [[0] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        for i in (k, k + 1):
+            rows[i][k : k + 2] = [rng.below(s) + 1, rng.below(s) + 1]
+    return IntMatrix.from_rows(rows, cols=n)
 
 
 def snf_digest(m):
@@ -736,6 +755,8 @@ class TestPackedFirstPass:
     # before a rank-deficient pass stopped at its first zero row and before
     # the alternation took the first row pass's result as it stood;
     # planted-16x16x12's and tall-12x8's once their kernel part was size-reduced.
+    # The diagonal and block-diagonal ones were taken before the chain repair
+    # stepped U's rows and V's columns instead of the bordered matrix.
     @pytest.mark.parametrize("make, branch, digest", [
         (lambda: product_matrix(1605, 16, 5, 10), "fell back",
          "b4937d4e395ed5ef6ea46613bc4856bf352edd68e739fc1eb8a28714aedcffec"),
@@ -743,7 +764,14 @@ class TestPackedFirstPass:
          "ebf740770e3ab063d50d445093cdc738ec385a39d0f3a85b06d32a5096d82614"),
         (lambda: splitmix_matrix(1208, 12, 8, 100), "skipped",
          "5295a6043cbe788d72f63879adeb6ed6c0239bb6e91fae5b1e49ff35df37abe4"),
-    ], ids=["rank-deficient-16x5x16", "planted-16x16x12", "tall-12x8"])
+        (lambda: diagonal_matrix(24, 2**64), "declined",
+         "6134afae695ae3303d932a8d6b3e856ff4a5955177cfd6a42f84aa23bce119fa"),
+        (lambda: block_diagonal_matrix(24, 2**64), "declined",
+         "e0134ed15bf5bfbb62b596206adc84e928362c695ea6331484896949822aa4f5"),
+        (lambda: diagonal_matrix(40, 100), "declined",
+         "07c453d4200da34548b2c2d2f4d5f77e1877f675c23e82ada82bd67784c4014e"),
+    ], ids=["rank-deficient-16x5x16", "planted-16x16x12", "tall-12x8",
+            "diagonal-24-64bit", "blocks-24-64bit", "diagonal-40-1..100"])
     def test_snf_output_off_the_packed_pass_is_pinned(self, monkeypatch, make, branch, digest):
         m = make()
         assert snf_digest(m) == digest
@@ -765,6 +793,97 @@ class TestPackedFirstPass:
         assert result.divisors == (d,) * 100
         assert result.u == result.v == identity(100)
         assert peak < 10 * 2**20
+
+
+def reference_chain(b, r):
+    """The chain repair as it was when it stepped whole rows and columns of the
+    bordered matrix ``b = [[A, U], [V, 0]]``, A diagonal with rank ``r``."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            x, y = b[i][i], b[i + 1][i + 1]
+            if y % x:
+                g = math.gcd(x, y)
+                k = abs(y // g)
+                s = (pow(x // g, -1, k) + k // 2) % k - k // 2
+                t = (g - s * x) // y
+                b[i], b[i + 1] = exactla._combine(b[i], b[i + 1], s, t, -y // g, x // g)
+                cols = exactla._combine([row[i] for row in b], [row[i + 1] for row in b],
+                                        1, 1, -t * y // g, s * x // g)
+                for row, e, f in zip(b, *cols):
+                    row[i], row[i + 1] = e, f
+                changed = True
+
+    for i in range(r):
+        if b[i][i] < 0:
+            b[i] = [-x for x in b[i]]
+    return [b[i][i] for i in range(r)]
+
+
+def reference_divisor_chain(d):
+    """The chain of diag(d), d nonzero: (gcd, lcm) over every pair i < j sorts
+    each prime's valuations."""
+    d = [abs(x) for x in d]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return d
+
+
+class TestChainRepair:
+    """exactla._chain on the diagonal, U's rows and V's columns."""
+
+    @staticmethod
+    def signed_entries(rng, count):
+        kind = rng.below(4)
+        if kind == 3:
+            values = [(1, 2, 3, 4, 6, 12)[rng.below(6)] for _ in range(count)]
+        else:
+            bound = (100, 2**64, 10**30)[kind]
+            values = [rng.below(bound) + 1 for _ in range(count)]
+        return [x if rng.below(2) else -x for x in values]
+
+    def test_matches_the_bordered_reference(self):
+        rng = SplitMix64(2012)
+        fixed = 0
+        for _ in range(400):
+            r, c = rng.below(10), rng.below(10)
+            rank = rng.below(min(r, c) + 1)
+            d = self.signed_entries(rng, rank)
+            u = [[rng.below(19) - 9 for _ in range(r)] for _ in range(r)]
+            v = [[rng.below(19) - 9 for _ in range(c)] for _ in range(c)]
+            b = [[d[i] if i == j and i < rank else 0 for j in range(c)] + list(u[i])
+                 for i in range(r)] + [row + [0] * r for row in v]
+            fixed += any(y % x for x, y in zip(d, d[1:]))
+            chain = reference_chain(b, rank)
+            w = exactla._transpose(v)
+            assert exactla._chain(d, u, w) == chain, (d, u, v)
+            assert u == [row[c:] for row in b[:r]], (d, u, v)
+            assert w == exactla._transpose([row[:c] for row in b[r:]]), (d, u, v)
+        assert fixed > 100
+
+    def test_divisor_path_matches_all_pairs(self):
+        rng = SplitMix64(2013)
+        for _ in range(400):
+            d = self.signed_entries(rng, rng.below(41))
+            expected = reference_divisor_chain(d)
+            assert exactla._chain(d, [[]] * len(d), [[]] * len(d)) == expected, d
+
+    def test_divisor_path_steps_no_rows(self, monkeypatch):
+        # About 8,000 fixes: the divisor path keeps no transforms, so none of
+        # them may step a row or column of the working matrix.
+        m = diagonal_matrix(200, 100)
+        combine, widths = exactla._combine, []
+
+        def record(u, w, *steps):
+            widths.append(len(u) + len(w))
+            return combine(u, w, *steps)
+
+        monkeypatch.setattr(exactla, "_combine", record)
+        assert elementary_divisors(m) == reference_divisor_chain([m.entry(i, i) for i in range(200)])
+        assert len(widths) > 2000
+        assert set(widths) == {0}
 
 
 def reference_reduce_row(row, basis, leads, start):

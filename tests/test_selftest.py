@@ -17,12 +17,12 @@ from hlk.selftest import random_matrix, random_slide, run_selftest, snf_defects,
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def signs_only_chain(b, r):
+def signs_only_chain(d, u, w):
     """``exactla._chain`` without its repair: it makes the diagonal positive and nothing more."""
-    for i in range(r):
-        if b[i][i] < 0:
-            b[i] = [-x for x in b[i]]
-    return [b[i][i] for i in range(r)]
+    for i, x in enumerate(d):
+        if x < 0:
+            d[i], u[i] = -x, [-e for e in u[i]]
+    return d
 
 
 class TestRandomMatrix:

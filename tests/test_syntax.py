@@ -6,7 +6,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
-    [*(ROOT / "src" / "hlk").glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    [*(ROOT / "src" / "hlk").glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+     *(ROOT / "tools").glob("*.py")]
 )
 
 

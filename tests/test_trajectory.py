@@ -1,0 +1,80 @@
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "trajectory.py"
+spec = importlib.util.spec_from_file_location("trajectory", SCRIPT)
+trajectory = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(trajectory)
+
+# What `perfbench/run.py --workload certified --seed 1 --seconds 1 --trace 0` printed.
+STDOUT = """\
+{"correct": true, "attempted": 105, "failed": 0, "metrics": {"solve_p50_ms": {"value": 5.525264084107191, "unit": "ms"}, "solve_p90_ms": {"value": 14.767498389034902, "unit": "ms"}, "solves_per_s": {"value": 142.0106085374476, "unit": "1/s"}, "peak_rss_mb": {"value": 18.16796875, "unit": "MB"}, "setup_s": {"value": 0.0021910497059828907, "unit": "s"}, "cert_bits": {"value": 145.5, "unit": "bits"}}}
+"""
+STDERR = """\
+perfbench: speed factor 0.901..1.498; unscaled p50 3.9768 ms, p90 11.3711 ms, 186.2994/s
+perfbench: certified solve_p50_ms                                     5.5253 ms
+perfbench: certified solve_p90_ms                                    14.7675 ms
+perfbench: certified solves_per_s                                   142.0106 1/s
+perfbench: certified peak_rss_mb                                     18.1680 MB
+perfbench: certified setup_s                                          0.0022 s
+perfbench: certified cert_bits                                      145.5000 bits
+perfbench: 7 rounds of 15 invocations, 0 failing per round
+"""
+
+
+def test_reads_a_captured_run():
+    assert trajectory.parse_run(STDOUT, STDERR) == {
+        "speed_factor": [0.901, 1.498],
+        "correct": True,
+        "attempted": 105,
+        "failed": 0,
+        "metrics": {
+            "solve_p50_ms": 5.525264084107191,
+            "solve_p90_ms": 14.767498389034902,
+            "solves_per_s": 142.0106085374476,
+            "peak_rss_mb": 18.16796875,
+            "setup_s": 0.0021910497059828907,
+            "cert_bits": 145.5,
+        },
+    }
+
+
+@pytest.mark.parametrize("stdout, stderr", [
+    (STDOUT.replace('"correct": true', '"correct": false'), STDERR),
+    ("", STDERR),
+    ("perfbench: no result\n", STDERR),
+    (STDOUT, STDERR.splitlines(keepends=True)[-1]),
+], ids=["incorrect", "no-stdout", "not-json", "no-speed-factor"])
+def test_a_failed_or_unreadable_run_is_refused(stdout, stderr):
+    with pytest.raises(ValueError):
+        trajectory.parse_run(stdout, stderr)
+
+
+def test_appends_one_entry_per_workload_only_when_every_run_passes(monkeypatch, tmp_path, capsys):
+    codes = {}
+
+    def run_workload(workload, seed):
+        return subprocess.CompletedProcess([], codes.get(workload, 0), STDOUT, STDERR)
+
+    monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(trajectory, "commit", lambda: "0" * 40)
+    monkeypatch.setattr(trajectory, "run_workload", run_workload)
+    assert trajectory.main(["7"]) == 0
+    assert trajectory.main(["8"]) == 0
+    for workload in trajectory.WORKLOADS:
+        history = json.loads((tmp_path / f"BENCH_{workload}.json").read_text())
+        assert [entry["seed"] for entry in history] == [7, 8]
+        assert history[0]["commit"] == "0" * 40
+        assert history[0]["seconds"] == 30
+        assert history[0]["metrics"]["cert_bits"] == 145.5
+
+    codes["diagrams"] = 1
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert trajectory.main(["9"]) == 1
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+    assert "diagrams: exit code 1; nothing appended" in capsys.readouterr().err
+    assert trajectory.main(["x"]) == 2
