@@ -853,7 +853,7 @@ class TestChainRepair:
             d = self.signed_entries(rng, rank)
             u = [[rng.below(19) - 9 for _ in range(r)] for _ in range(r)]
             v = [[rng.below(19) - 9 for _ in range(c)] for _ in range(c)]
-            b = [[d[i] if i == j and i < rank else 0 for j in range(c)] + list(u[i])
+            b = [[d[i] if i == j and i < rank else 0 for j in range(c)] + u[i]
                  for i in range(r)] + [row + [0] * r for row in v]
             fixed += any(y % x for x, y in zip(d, d[1:]))
             chain = reference_chain(b, rank)
