@@ -13,15 +13,10 @@ import io
 import sys
 from contextlib import suppress
 
-from .diagram import (
-    DiagramParseError,
-    InvalidDiagramError,
-    linking_matrix,
-    parse_diagram,
-)
+from .diagram import InvalidDiagramError, linking_matrix, parse_diagram
 from .exactla import (
-    MatrixParseError,
     _decimal_ints,
+    _ParseError,
     _Record,
     _significant_lines,
     format_matrix,
@@ -180,7 +175,7 @@ def run(config: CliConfig, stdin=None, out=None, err=None) -> int:
         return fail(EXIT_USAGE, exc)
     except UnicodeDecodeError as exc:
         return fail(EXIT_PARSE, f"input is not UTF-8: {exc}")
-    except (DiagramParseError, MatrixParseError) as exc:
+    except _ParseError as exc:  # the base of DiagramParseError and MatrixParseError
         return fail(EXIT_PARSE, exc)
     except InvalidDiagramError as exc:
         return fail(EXIT_INVALID, exc)
@@ -196,13 +191,6 @@ def main(argv=None) -> int:
     # run never load it.
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
-        # argparse exits with status 2 on bad flags; this tool reserves 2 for
-        # parse errors, so remap usage problems to 1.
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
     def _flag_int(text: str) -> int:
         """A flag's integer: one ASCII token ``[+-]?[0-9]+``, as in matrix files."""
         # _decimal_ints takes tokens as a line splits them, so a flag with any
@@ -212,7 +200,8 @@ def main(argv=None) -> int:
                 return values[0]
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
-    parser = _Parser(prog="hlk", description="Linking invariants of two-component handlebody-links.")
+    description = "Linking invariants of two-component handlebody-links."
+    parser = argparse.ArgumentParser(prog="hlk", description=description)
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     for name, text in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=text, description=text)
@@ -231,7 +220,9 @@ def main(argv=None) -> int:
             if vars(args).get(name) == []:
                 cmd.error(f"argument --{name}: invalid int value: '--'")
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits with status 2 on bad flags; this tool reserves 2 for
+        # parse errors, so usage problems exit 1.
+        return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     return run(CliConfig(**vars(args)))
 
 

@@ -208,14 +208,6 @@ def _tally(text: str, counts: Mapping[str, int],
     return tuple(component_names), tuple(loops), sums
 
 
-def _linking(sums: dict, a: str, b: str, entry: tuple[int, int]) -> int:
-    """Half the crossing sum of ``a`` and ``b``, either on top; an odd sum names ``entry``."""
-    total = sums.get((a, b), 0) + sums.get((b, a), 0)
-    if total % 2:
-        raise InvalidDiagramError(f"entry {entry}: odd crossing sign sum {total} between {a!r} and {b!r}")
-    return total // 2
-
-
 def linking_matrix(d: Diagram) -> IntMatrix:
     """Matrix of linking numbers, rows = first component's loops, cols = second's.
 
@@ -224,14 +216,18 @@ def linking_matrix(d: Diagram) -> IntMatrix:
     times, so an odd sum raises InvalidDiagramError.  Crossings within one
     component are ignored.
     """
-    first = d.component_loops(0)
-    second = d.component_loops(1)
+    first = [l.name for l in d.component_loops(0)]
+    second = [l.name for l in d.component_loops(1)]
     sums = d.crossing_sums
-    rows = [
-        [_linking(sums, e.name, f.name, (i, j)) for j, f in enumerate(second)]
-        for i, e in enumerate(first)
-    ]
-    return IntMatrix.from_rows(rows, cols=len(second))
+    entries = []
+    for i, e in enumerate(first):
+        for j, f in enumerate(second):
+            total = sums.get((e, f), 0) + sums.get((f, e), 0)
+            if total % 2:
+                raise InvalidDiagramError(
+                    f"entry {(i, j)}: odd crossing sign sum {total} between {e!r} and {f!r}")
+            entries.append(total // 2)
+    return IntMatrix(len(first), len(second), tuple(entries))
 
 
 def merge_loops(d: Diagram, first: str, second: str, merged: str) -> Diagram:

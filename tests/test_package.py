@@ -73,25 +73,37 @@ def test_every_import_is_used(name):
     assert imported - loaded_names(tree) == set()
 
 
-def private_definitions(tree: ast.Module) -> set[str]:
-    """Module-level ``_private`` functions, classes and constants."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+def private_definitions(node: ast.stmt) -> set[str]:
+    """The ``_private`` functions, classes and constants that a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = {node.name}
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = {t.id for t in targets if isinstance(t, ast.Name)}
+    else:
+        names = set()
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def read_names(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads, as bare names or as attributes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
 def test_every_private_definition_is_used():
-    used = set()
-    for tree in MODULES.values():
-        used |= referenced_names(tree)
-        used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    defined = set().union(*map(private_definitions, MODULES.values()))
-    assert defined - used == set()
+    # A private helper earns its place when package code outside its own
+    # definition reads it; importing it, or calling it from its own body, does not.
+    statements = [node for tree in MODULES.values() for node in tree.body]
+    defined = set().union(*map(private_definitions, statements))
+    unused = {
+        name for name in defined
+        if not any(name in read_names(node) for node in statements if name not in private_definitions(node))
+    }
+    assert len(defined) > 30
+    assert unused == set()
 
 
 def fresh_process(code: str) -> str:

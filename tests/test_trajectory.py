@@ -24,6 +24,9 @@ perfbench: certified setup_s                                          0.0022 s
 perfbench: certified cert_bits                                      145.5000 bits
 perfbench: 7 rounds of 15 invocations, 0 failing per round
 """
+# Two results that read as JSON but lack what an entry needs.
+NO_FIELDS = '{"correct": true}\n'
+METRIC_NOT_OBJECT = STDOUT.replace('{"value": 145.5, "unit": "bits"}', "145.5")
 
 
 def test_reads_a_captured_run():
@@ -48,10 +51,30 @@ def test_reads_a_captured_run():
     ("", STDERR),
     ("perfbench: no result\n", STDERR),
     (STDOUT, STDERR.splitlines(keepends=True)[-1]),
-], ids=["incorrect", "no-stdout", "not-json", "no-speed-factor"])
+    (NO_FIELDS, STDERR),
+    (METRIC_NOT_OBJECT, STDERR),
+], ids=["incorrect", "no-stdout", "not-json", "no-speed-factor", "no-fields", "metric-not-object"])
 def test_a_failed_or_unreadable_run_is_refused(stdout, stderr):
     with pytest.raises(ValueError):
         trajectory.parse_run(stdout, stderr)
+
+
+@pytest.mark.parametrize("stdout, message", [
+    (NO_FIELDS, "no 'attempted' field"),
+    (METRIC_NOT_OBJECT, "metric 'cert_bits' is not an object"),
+], ids=["no-fields", "metric-not-object"])
+def test_a_malformed_run_ends_in_a_refusal_not_a_traceback(monkeypatch, tmp_path, capsys, stdout, message):
+    def run_workload(workload, seed):
+        return subprocess.CompletedProcess([], 0, stdout if workload == "certified" else STDOUT, STDERR)
+
+    monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(trajectory, "commit", lambda: "0" * 40)
+    monkeypatch.setattr(trajectory, "run_workload", run_workload)
+    assert trajectory.main(["7"]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("trajectory: certified: ") and last.endswith("; nothing appended")
+    assert message in last
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_appends_one_entry_per_workload_only_when_every_run_passes(monkeypatch, tmp_path, capsys):

@@ -42,6 +42,14 @@ def parse_run(stdout: str, stderr: str) -> dict:
             break
     else:
         raise ValueError("no speed factor line on stderr")
+    for name in ("attempted", "failed", "metrics"):
+        if name not in result:
+            raise ValueError(f"the run's result has no {name!r} field")
+    if not isinstance(result["metrics"], dict):
+        raise ValueError(f"the run's 'metrics' is not an object: {result['metrics']!r}")
+    for name, metric in result["metrics"].items():
+        if not isinstance(metric, dict) or "value" not in metric:
+            raise ValueError(f"metric {name!r} is not an object with a 'value': {metric!r}")
     return {
         "speed_factor": speed,
         "correct": True,
