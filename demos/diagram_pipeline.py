@@ -16,20 +16,20 @@ for name in ("hopf.hlk", "separated.hlk", "worked_example.hlk"):
     d = parse_diagram((FIXTURES / name).read_text())
     m = linking_matrix(d)
     print(f"{name}: components {d.component_names}, "
-          f"{len(d.loops)} loops, {len(d.crossing_sums)} crossing loop pairs")
+          f"{sum(map(len, d.loops))} loops, {len(d.crossing_sums)} crossing loop pairs")
     print(f"  linking matrix {m.rows} x {m.cols}, Lk = {handlebody_linking(m)}")
 
 print()
 worked = parse_diagram((FIXTURES / "worked_example.hlk").read_text())
 print("Pairwise linking numbers of worked_example.hlk:")
 table = linking_matrix(worked)
-for i, e in enumerate(worked.component_loops(0)):
-    print(f"  {e.name}: {list(table.row(i))}")
+for i, e in enumerate(worked.loops[0]):
+    print(f"  {e}: {list(table.row(i))}")
 
 print()
 print("Merging e1 and e2 adds their rows (linking numbers are bilinear):")
 merged = merge_loops(worked, "e1", "e2", "e12")
 m = linking_matrix(merged)
-for i, loop in enumerate(merged.component_loops(0)):
-    print(f"  {loop.name}: {list(m.row(i))}")
+for i, loop in enumerate(merged.loops[0]):
+    print(f"  {loop}: {list(m.row(i))}")
 print("The invariant of the merged diagram:", handlebody_linking(m))

@@ -15,7 +15,7 @@ from contextlib import suppress
 
 from .diagram import InvalidDiagramError, linking_matrix, parse_diagram
 from .exactla import (
-    _decimal_ints,
+    _integers,
     _ParseError,
     _Record,
     _significant_lines,
@@ -193,11 +193,11 @@ def main(argv=None) -> int:
 
     def _flag_int(text: str) -> int:
         """A flag's integer: one ASCII token ``[+-]?[0-9]+``, as in matrix files."""
-        # _decimal_ints takes tokens as a line splits them, so a flag with any
+        # _integers takes tokens as a line splits them, so a flag with any
         # whitespace is refused first.
-        with suppress(ValueError):  # int() refuses over 4,300 digits
-            if text.split() == [text] and (values := _decimal_ints([text])):
-                return values[0]
+        with suppress(ValueError):  # a MatrixParseError is a ValueError
+            if text.split() == [text]:
+                return _integers([text], None, "flags")[0]
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
     description = "Linking invariants of two-component handlebody-links."

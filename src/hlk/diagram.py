@@ -22,7 +22,6 @@ from types import MappingProxyType
 from .exactla import IntMatrix, _ParseError, _Record, _sliced_lines, _tokens
 
 __all__ = [
-    "Loop",
     "Diagram",
     "DiagramParseError",
     "InvalidDiagramError",
@@ -43,16 +42,9 @@ class InvalidDiagramError(ValueError):
 _SIGNS = {"+": 1, "-": -1}
 
 
-class Loop(_Record):
-    __slots__ = ("name", "component")
-
-    def __init__(self, name: str, component: int):
-        super().__init__(name, component)
-
-
 class Diagram(_Record):
-    """Two named components, their loops in declaration order, and the
-    signed crossing sum of each ``(over, under)`` loop pair.
+    """Two named components, the loop names of each in declaration order, and
+    the signed crossing sum of each ``(over, under)`` loop pair.
 
     Linking numbers need only these sums, so a diagram holds one sum per
     loop pair however many crossings its file lists.
@@ -60,23 +52,24 @@ class Diagram(_Record):
 
     __slots__ = ("component_names", "loops", "crossing_sums")
 
-    def __init__(self, component_names: tuple[str, str], loops: tuple[Loop, ...],
+    def __init__(self, component_names: tuple[str, str], loops: tuple[tuple[str, ...], tuple[str, ...]],
                  crossing_sums: Mapping[tuple[str, str], int]):
-        super().__init__(tuple(component_names), tuple(loops), crossing_sums)
+        loops = tuple(loops)
+        if any(isinstance(side, str) for side in loops):  # tuple() would split one into letters
+            raise TypeError(f"each side of loops must be a sequence of loop names, not a string: {loops!r}")
+        super().__init__(tuple(component_names), tuple(map(tuple, loops)), crossing_sums)
         if len(self.component_names) != 2:
             raise ValueError(f"expected exactly two components, found {len(self.component_names)}")
+        if len(self.loops) != 2:
+            raise ValueError(f"expected the loops of two components, found {len(self.loops)}")
         names = set()
-        for loop in self.loops:
-            if type(loop.component) is not int:
-                raise TypeError(f"loop {loop.name!r} has component {loop.component!r}, expected an int")
-            if loop.component not in (0, 1):
-                raise ValueError(f"loop {loop.name!r} has component {loop.component}, expected 0 or 1")
-            if loop.name in names:
-                raise ValueError(f"duplicate loop id {loop.name!r}")
-            names.add(loop.name)
-        for side in (0, 1):
-            if not any(l.component == side for l in self.loops):
-                raise ValueError(f"component {self.component_names[side]!r} has no loops")
+        for name in chain(*self.loops):
+            if name in names:
+                raise ValueError(f"duplicate loop id {name!r}")
+            names.add(name)
+        for component, side in zip(self.component_names, self.loops):
+            if not side:
+                raise ValueError(f"component {component!r} has no loops")
         sums = MappingProxyType(dict(self.crossing_sums))
         for pair, total in sums.items():
             if not isinstance(pair, tuple) or len(pair) != 2:
@@ -92,9 +85,6 @@ class Diagram(_Record):
     def __reduce__(self):
         # pickle refuses the read-only mapping; the constructor takes a plain dict.
         return Diagram, (self.component_names, self.loops, dict(self.crossing_sums))
-
-    def component_loops(self, component: int) -> tuple[Loop, ...]:
-        return tuple(l for l in self.loops if l.component == component)
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -149,7 +139,7 @@ def _line_number(text: str, line: str) -> int:
 
 
 def _tally(text: str, counts: Mapping[str, int],
-           copies: list[tuple[int, str, int]]) -> tuple[tuple[str, ...], tuple[Loop, ...], dict]:
+           copies: list[tuple[int, str, int]]) -> tuple[tuple[str, ...], tuple[list[str], list[str]], dict]:
     """Names, loops and sums, checking each distinct line of ``counts`` once
     and each copy ``(k, line, line number)`` after the first ``k`` of them.
 
@@ -158,7 +148,7 @@ def _tally(text: str, counts: Mapping[str, int],
     where the bad line first occurs, or the copy's own line.
     """
     component_names: list[str] = []
-    loops: list[Loop] = []
+    loops: tuple[list[str], list[str]] = ([], [])
     sums: dict[tuple[str, str], int] = {}
     declared: set[str] = set()
     # A copy stands in the stream as (line, minus its line number).
@@ -199,13 +189,13 @@ def _tally(text: str, counts: Mapping[str, int],
                 if name in declared:
                     raise DiagramParseError(f"duplicate loop id {name!r}")
                 declared.add(name)
-                loops.append(Loop(name, len(component_names) - 1))
+                loops[len(component_names) - 1].append(name)
             else:
                 raise DiagramParseError(f"unknown directive {keyword!r}")
     except DiagramParseError as exc:
         line = -count if count < 0 else _line_number(text, raw)
         raise DiagramParseError(str(exc), line=line) from None
-    return tuple(component_names), tuple(loops), sums
+    return tuple(component_names), loops, sums
 
 
 def linking_matrix(d: Diagram) -> IntMatrix:
@@ -216,8 +206,7 @@ def linking_matrix(d: Diagram) -> IntMatrix:
     times, so an odd sum raises InvalidDiagramError.  Crossings within one
     component are ignored.
     """
-    first = [l.name for l in d.component_loops(0)]
-    second = [l.name for l in d.component_loops(1)]
+    first, second = d.loops
     sums = d.crossing_sums
     entries = []
     for i, e in enumerate(first):
@@ -239,17 +228,16 @@ def merge_loops(d: Diagram, first: str, second: str, merged: str) -> Diagram:
     the two merged loops become self-crossings and drop out of every
     linking number.
     """
-    by_name = {l.name: l for l in d.loops}
-    la, lb = by_name[first], by_name[second]
+    side = {name: k for k, names in enumerate(d.loops) for name in names}
+    ka, kb = side[first], side[second]
     if first == second:
         raise ValueError("cannot merge a loop with itself")
-    if la.component != lb.component:
+    if ka != kb:
         raise ValueError(f"loops {first!r} and {second!r} lie in different components")
-    if merged in by_name.keys() - {first, second}:
+    if merged in side.keys() - {first, second}:
         raise ValueError(f"merged id {merged!r} is already in use")
     rename = {first: merged, second: merged}
-    kept = (l for l in d.loops if l.name != second)
-    new_loops = tuple(Loop(rename.get(l.name, l.name), l.component) for l in kept)
+    new_loops = [[rename.get(n, n) for n in names if n != second] for names in d.loops]
     sums: dict[tuple[str, str], int] = {}
     for (over, under), total in d.crossing_sums.items():
         pair = (rename.get(over, over), rename.get(under, under))

@@ -607,11 +607,10 @@ def _sliced_lines(text: str) -> Iterator[list[str]]:
         start, size = end, min(16 * size, _SLICE)
 
 
-def _decimal_ints(tokens: list[str]) -> list[int] | None:
-    """The values of ``tokens``, or None unless each is an ASCII token ``[+-]?[0-9]+``.
-
-    The tokens hold no space or line break.  Raises ValueError when every token
-    is one but int() refuses a length (over 4,300 digits by default).
+def _integers(tokens: list[str], lineno: int | None, what: str) -> list[int]:
+    """The values of ``tokens``; a MatrixParseError about ``what`` on line ``lineno``
+    unless each is an ASCII token ``[+-]?[0-9]+`` that int() takes (it refuses
+    over 4,300 digits by default).  The tokens hold no space or line break.
     """
     row = " ".join(tokens)
     # int() also skips whitespace around a number and reads underscores and
@@ -622,18 +621,8 @@ def _decimal_ints(tokens: list[str]) -> list[int] | None:
             return [int(t) for t in tokens]
         except ValueError:
             if all((t[1:] if t[:1] in "+-" else t).isdigit() for t in tokens):
-                raise
-    return None
-
-
-def _integers(tokens: list[str], lineno: int, what: str) -> list[int]:
-    try:
-        values = _decimal_ints(tokens)
-    except ValueError:
-        raise MatrixParseError(f"{what} exceed the integer digit limit", line=lineno) from None
-    if values is None:
-        raise MatrixParseError(f"{what} must be signed decimal integers", line=lineno)
-    return values
+                raise MatrixParseError(f"{what} exceed the integer digit limit", line=lineno) from None
+    raise MatrixParseError(f"{what} must be signed decimal integers", line=lineno)
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -11,7 +11,6 @@ from hlk.diagram import (
     Diagram,
     DiagramParseError,
     InvalidDiagramError,
-    Loop,
     linking_matrix,
     merge_loops,
     parse_diagram,
@@ -69,7 +68,7 @@ def random_diagram(rng: SplitMix64) -> tuple[str, list[str], list[str], list[tup
 def sequential_parse(text: str) -> Diagram:
     """The line-by-line parser, kept as an oracle: the checks run on every
     significant line in file order."""
-    component_names, loops, sums, declared = [], [], {}, set()
+    component_names, loops, sums, declared = [], ([], []), {}, set()
     for lineno, tokens in _significant_lines(text):
         keyword = tokens[0]
         if keyword == "crossing":
@@ -98,11 +97,11 @@ def sequential_parse(text: str) -> Diagram:
             if name in declared:
                 raise DiagramParseError(f"duplicate loop id {name!r}", line=lineno)
             declared.add(name)
-            loops.append(Loop(name, len(component_names) - 1))
+            loops[len(component_names) - 1].append(name)
         else:
             raise DiagramParseError(f"unknown directive {keyword!r}", line=lineno)
     try:
-        return Diagram(tuple(component_names), tuple(loops), sums)
+        return Diagram(tuple(component_names), loops, sums)
     except ValueError as exc:
         raise DiagramParseError(str(exc)) from None
 
@@ -195,13 +194,12 @@ class TestParseDiagram:
     def test_minimal(self):
         d = parse_diagram(MINIMAL)
         assert d.component_names == ("h1", "h2")
-        assert len(d.loops) == 2
+        assert d.loops == (("a",), ("b",))
         assert d.crossing_sums == {("a", "b"): 1, ("b", "a"): 1}
 
     def test_declaration_order_kept(self, fixtures_dir):
         d = parse_diagram((fixtures_dir / "worked_example.hlk").read_text())
-        assert [l.name for l in d.component_loops(0)] == ["e1", "e2", "e3"]
-        assert [l.name for l in d.component_loops(1)] == ["f1", "f2", "f3", "f4"]
+        assert d.loops == (("e1", "e2", "e3"), ("f1", "f2", "f3", "f4"))
 
     def test_comments_blanks_and_spacing(self):
         text = "# c\n\ncomponent   h1\n  loop a\n\ncomponent h2\nloop b\ncrossing  a   b  -\n"
@@ -256,7 +254,7 @@ class TestParseDiagram:
         assert str(info.value) == "expected exactly two components, found 1"
         assert info.value.line is None
         with pytest.raises(ValueError, match="expected exactly two components, found 1"):
-            Diagram(("x",), (Loop("a", 0),), ())
+            Diagram(("x",), (["a"], []), ())
 
     def test_crossing_must_follow_loops(self):
         with pytest.raises(DiagramParseError) as info:
@@ -430,18 +428,22 @@ class TestSlicedLines:
 
 class TestDiagramType:
     def test_validation(self):
-        a, b = Loop("a", 0), Loop("b", 1)
+        a, b = ("a",), ("b",)
         with pytest.raises(ValueError):
             Diagram(("x",), (a, b), ())
-        with pytest.raises(ValueError):
-            Diagram(("x", "y"), (a, Loop("a", 1)), ())
-        with pytest.raises(ValueError):
-            Diagram(("x", "y"), (a, Loop("b", 2)), ())
-        for component in (1.0, True):
-            with pytest.raises(TypeError, match="expected an int"):
-                Diagram(("x", "y"), (a, Loop("b", component)), {("a", "b"): 2})
-        with pytest.raises(ValueError):
-            Diagram(("x", "y"), (a,), ())
+        with pytest.raises(ValueError, match="duplicate loop id 'a'"):
+            Diagram(("x", "y"), (a, ("b", "a")), ())
+        # A string side would otherwise split into one-letter loop names.
+        for loops in ("ab", ("a", "b"), (a, "b"), (["a"], "bc")):
+            with pytest.raises(TypeError, match="not a string"):
+                Diagram(("x", "y"), loops, {})
+        for loops in ((a, b, ("c",)), (a,), ()):
+            with pytest.raises(ValueError, match=f"expected the loops of two components, found {len(loops)}"):
+                Diagram(("x", "y"), loops, {})
+        for loops in ((a, ()), ((), b), ([], [])):
+            with pytest.raises(ValueError, match="has no loops"):
+                Diagram(("x", "y"), loops, {})
+        assert Diagram(("x", "y"), [["a", "c"], iter("b")], {}).loops == (("a", "c"), ("b",))
         with pytest.raises(ValueError, match="unknown loop 'zz'"):
             Diagram(("x", "y"), (a, b), {("a", "zz"): 1})
         with pytest.raises(ValueError, match="unknown loop 'zz'"):
@@ -616,3 +618,19 @@ class TestMergeLoops:
         d2 = parse_diagram("component h1\nloop a\nloop c\nloop e\ncomponent h2\nloop b\n")
         with pytest.raises(ValueError, match="already in use"):
             merge_loops(d2, "a", "c", "e")
+        # An unknown name comes first, then a loop merged with itself, then
+        # loops of two components, then a merged id already in use.
+        for first, second in (("zz", "zz"), ("zz", "a"), ("b", "zz")):
+            with pytest.raises(KeyError):
+                merge_loops(d2, first, second, "e")
+        with pytest.raises(ValueError, match="itself"):
+            merge_loops(d2, "a", "a", "e")
+        with pytest.raises(ValueError, match="different components"):
+            merge_loops(d2, "a", "b", "e")
+
+    def test_merged_loops_keep_their_order(self, fixtures_dir):
+        d = parse_diagram((fixtures_dir / "worked_example.hlk").read_text())
+        assert merge_loops(d, "e3", "e1", "e13").loops == (("e2", "e13"), ("f1", "f2", "f3", "f4"))
+        assert merge_loops(d, "f2", "f4", "f2").loops == (("e1", "e2", "e3"), ("f1", "f2", "f3"))
+        text = "component h1\nloop a\nloop c\ncomponent h2\nloop b\n"
+        assert merge_loops(parse_diagram(text), "a", "c", "c").loops == (("c",), ("b",))

@@ -17,7 +17,7 @@ DEMOS = [ast.parse(path.read_text(), filename=str(path)) for path in sorted((ROO
 
 PUBLIC_NAMES = {
     "AbelianGroup", "Diagram", "DiagramParseError", "IntMatrix", "InvalidDiagramError",
-    "LkInvariant", "Loop", "MatrixParseError", "SNFResult", "SplitMix64", "__version__",
+    "LkInvariant", "MatrixParseError", "SNFResult", "SplitMix64", "__version__",
     "apply_slide", "determinant", "elementary_divisors", "format_matrix", "handlebody_linking",
     "linking_matrix", "merge_loops", "minor_gcd_profile", "parse_diagram", "parse_matrix",
     "quotient_groups", "random_unimodular", "reconstruct_lk", "run_selftest", "smith_normal_form",

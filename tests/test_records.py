@@ -1,4 +1,4 @@
-"""The seven value types behave alike: immutable records compared, hashed,
+"""The six value types behave alike: immutable records compared, hashed,
 printed, pickled and copied by their field values."""
 
 import copy
@@ -6,11 +6,11 @@ import pickle
 
 import pytest
 
-from hlk import AbelianGroup, Diagram, IntMatrix, LkInvariant, Loop, SNFResult
+from hlk import AbelianGroup, Diagram, IntMatrix, LkInvariant, SNFResult
 from hlk.cli import CliConfig
 
 ONE, TWO = IntMatrix(1, 1, (1,)), IntMatrix(1, 1, (2,))
-LOOPS = (Loop("a", 0), Loop("b", 1))
+LOOPS = (("a",), ("b",))
 
 # (sample value, its fields by keyword, an unequal value, its exact repr)
 CASES = [
@@ -27,17 +27,11 @@ CASES = [
         "SNFResult(d=IntMatrix(1x1 [2]), u=IntMatrix(1x1 [1]), v=IntMatrix(1x1 [1]), divisors=(2,))",
     ),
     (
-        Loop("a", 0),
-        {"name": "a", "component": 0},
-        Loop("a", 1),
-        "Loop(name='a', component=0)",
-    ),
-    (
         Diagram(("h1", "h2"), LOOPS, {("a", "b"): 1}),
         {"component_names": ("h1", "h2"), "loops": LOOPS, "crossing_sums": {("a", "b"): 1}},
         Diagram(("h1", "h2"), LOOPS, {("a", "b"): -1}),
-        "Diagram(component_names=('h1', 'h2'), loops=(Loop(name='a', component=0), "
-        "Loop(name='b', component=1)), crossing_sums=mappingproxy({('a', 'b'): 1}))",
+        "Diagram(component_names=('h1', 'h2'), loops=(('a',), ('b',)), "
+        "crossing_sums=mappingproxy({('a', 'b'): 1}))",
     ),
     (
         LkInvariant((1, 2)),

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -101,3 +102,52 @@ def test_appends_one_entry_per_workload_only_when_every_run_passes(monkeypatch, 
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
     assert "diagrams: exit code 1; nothing appended" in capsys.readouterr().err
     assert trajectory.main(["x"]) == 2
+
+
+def refuse_runs(workload, seed):
+    raise AssertionError(f"the benchmark ran: {workload} {seed}")
+
+
+@pytest.mark.parametrize("seed", ["²", "٣", "3x", "-1", ""])
+def test_a_seed_not_in_ascii_digits_is_a_usage_error(monkeypatch, tmp_path, capsys, seed):
+    monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(trajectory, "commit", lambda: "0" * 40)
+    monkeypatch.setattr(trajectory, "run_workload", refuse_runs)
+    assert trajectory.main([seed]) == 2
+    assert capsys.readouterr().err == "usage: trajectory.py SEED\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def fake_git(monkeypatch, tmp_path, script: str) -> None:
+    """Put a ``git`` that runs the shell ``script`` first on PATH."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    git = bin_dir / "git"
+    git.write_text("#!/bin/sh\n" + script)
+    git.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the stub git is a shell script")
+@pytest.mark.parametrize("git", ["fails", "missing"])
+def test_outside_a_git_checkout_nothing_runs_or_is_appended(monkeypatch, tmp_path, capsys, git):
+    if git == "fails":
+        fake_git(monkeypatch, tmp_path, "echo 'fatal: not a git repository' >&2\nexit 128\n")
+    else:
+        monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    monkeypatch.setattr(trajectory, "ROOT", checkout)
+    monkeypatch.setattr(trajectory, "run_workload", refuse_runs)
+    assert trajectory.commit() is None
+    assert trajectory.main(["7"]) == 1
+    assert capsys.readouterr().err == "trajectory: not a git checkout; nothing appended\n"
+    assert list(checkout.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the stub git is a shell script")
+@pytest.mark.parametrize("diff_code, expected", [(0, "ab12"), (1, "ab12-dirty")])
+def test_commit_marks_a_dirty_checkout(monkeypatch, tmp_path, diff_code, expected):
+    fake_git(monkeypatch, tmp_path, f'[ "$1" = rev-parse ] && echo ab12 && exit 0\nexit {diff_code}\n')
+    monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    assert trajectory.commit() == expected

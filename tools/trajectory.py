@@ -13,8 +13,9 @@ version, the seed, the seconds, the speed-factor range, ``correct``,
 ``attempted``, ``failed`` and each metric's value.  ``BENCHMARK.json`` gives
 the metrics' units and bounds.
 
-When any run exits nonzero or reports ``correct: false``, nothing is appended
-and the script exits 1.  Standard library only.
+When any run exits nonzero or reports ``correct: false``, or the checkout is
+not a git checkout, nothing is appended and the script exits 1.  SEED is ASCII
+decimal digits.  Standard library only.
 """
 
 import json
@@ -65,20 +66,32 @@ def run_workload(workload: str, seed: int) -> subprocess.CompletedProcess:
     return subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
 
 
-def commit() -> str:
+def commit() -> str | None:
+    """HEAD's commit, with ``-dirty`` when tracked files differ from it; None
+    when ``ROOT`` is not in a git checkout or git cannot be run."""
     def git(*args):
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
 
-    head = git("rev-parse", "HEAD").stdout.strip()
-    return head + "-dirty" if git("diff", "--quiet", "HEAD").returncode else head
+    try:
+        head = git("rev-parse", "HEAD")
+        if head.returncode:
+            return None
+        dirty = git("diff", "--quiet", "HEAD").returncode
+    except OSError:  # no git to run
+        return None
+    return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or not argv[0].isdigit():
+    # str.isdigit() also takes digits such as "²" and "٣", which int() reads or refuses.
+    if len(argv) != 1 or not (argv[0].isascii() and argv[0].isdigit()):
         print("usage: trajectory.py SEED", file=sys.stderr)
         return 2
     seed = int(argv[0])
-    head = {"commit": commit(), "python": platform.python_version(), "seed": seed,
+    if (revision := commit()) is None:
+        print("trajectory: not a git checkout; nothing appended", file=sys.stderr)
+        return 1
+    head = {"commit": revision, "python": platform.python_version(), "seed": seed,
             "seconds": SECONDS}
     entries = {}
     for workload in WORKLOADS:
