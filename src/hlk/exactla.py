@@ -8,7 +8,7 @@ exceed machine words.
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import mul
 
 __all__ = [
@@ -626,33 +626,31 @@ def _integers(tokens: list[str], lineno: int | None, what: str) -> list[int]:
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    """Parse the textual matrix format; raises MatrixParseError with a line number."""
-    significant = list(_significant_lines(text))
-    if not significant:
+    """Parse the textual matrix format in one pass.  A MatrixParseError names the first bad
+    line of a line-by-line reading: a missing row at the header, an extra one at its own line."""
+    lines = _significant_lines(text)
+    header_line, header = next(lines, (None, None))
+    if header is None:
         raise MatrixParseError("empty input, expected a 'matrix <m> <n>' header")
-    header_line, header = significant[0]
     if header[0] != "matrix" or len(header) != 3:
         raise MatrixParseError("expected header 'matrix <m> <n>'", line=header_line)
     m, n = _integers(header[1:], header_line, "matrix dimensions")
     if m < 0 or n < 0:
         raise MatrixParseError("matrix dimensions must be non-negative", line=header_line)
 
-    body = significant[1:]
     # A width-zero matrix has no printable rows, so none are expected.
-    expected_rows = m if n > 0 else 0
-    if len(body) != expected_rows:
-        where = body[expected_rows][0] if len(body) > expected_rows else header_line
-        raise MatrixParseError(f"expected {expected_rows} rows, found {len(body)}", line=where)
-    if n == 0:
-        return IntMatrix.zeros(m, 0)
-
-    rows = []
-    for lineno, tokens in body:
+    expected = m if n > 0 else 0
+    entries = []
+    for lineno, tokens in islice(lines, expected):
         if len(tokens) != n:
             raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
-        rows.append(_integers(tokens, lineno, "entries"))
-    # Every row has n entries, so the rows pack as they are.
-    return IntMatrix(m, n, tuple(chain.from_iterable(rows)))
+        entries += _integers(tokens, lineno, "entries")
+    if len(entries) < m * n:
+        raise MatrixParseError(f"expected {expected} rows, found {len(entries) // n}", line=header_line)
+    if extra := next(lines, None):
+        found = expected + 1 + sum(1 for _ in lines)
+        raise MatrixParseError(f"expected {expected} rows, found {found}", line=extra[0])
+    return IntMatrix(m, n, tuple(entries))
 
 
 def format_matrix(m: IntMatrix) -> str:

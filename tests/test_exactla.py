@@ -1429,6 +1429,89 @@ class TestLineScanner:
         assert list(exactla._significant_lines(text)) == filtering_split(text)
 
 
+def reference_integers(tokens, lineno, what):
+    """The values of ``tokens``, each a README_INTEGER, or the parser's error about ``what``."""
+    if not all(README_INTEGER.fullmatch(t) for t in tokens):
+        raise MatrixParseError(f"{what} must be signed decimal integers", line=lineno)
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise MatrixParseError(f"{what} exceed the integer digit limit", line=lineno) from None
+
+
+def sequential_parse_matrix(text):
+    """The line-by-line matrix reader, kept as an oracle: each significant line
+    of ``text.splitlines()`` is checked in file order, and the row count when the
+    first extra row or the end of the text is reached."""
+    header_line, rows, extra, found = None, [], None, 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = [t for t in line.strip().split(" ") if t]
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if header_line is None:
+            if tokens[0] != "matrix" or len(tokens) != 3:
+                raise MatrixParseError("expected header 'matrix <m> <n>'", line=lineno)
+            m, n = reference_integers(tokens[1:], lineno, "matrix dimensions")
+            if m < 0 or n < 0:
+                raise MatrixParseError("matrix dimensions must be non-negative", line=lineno)
+            header_line, expected = lineno, (m if n > 0 else 0)
+            continue
+        found += 1
+        if found > expected:
+            extra = extra or lineno
+            continue
+        if len(tokens) != n:
+            raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
+        rows.append(reference_integers(tokens, lineno, "entries"))
+    if header_line is None:
+        raise MatrixParseError("empty input, expected a 'matrix <m> <n>' header")
+    if found != expected:
+        raise MatrixParseError(f"expected {expected} rows, found {found}", line=extra or header_line)
+    return IntMatrix(m, n, tuple(x for row in rows for x in row))
+
+
+def matrix_outcome(parse, text):
+    """The parsed matrix, or the error's message and line."""
+    try:
+        return "matrix", parse(text)
+    except MatrixParseError as exc:
+        return "error", str(exc), exc.line
+
+
+# Every line break str.splitlines() takes, and lines that a matrix reader skips.
+MATRIX_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SKIPPED = ["", "  ", "# c", "  # 1 2", "#", "\t"]
+BAD_TOKENS = ["x", "1_0", "\u0663", "5\t", "+-1", "--", "0x1"]
+
+
+def malformed_matrix_text(rng):
+    """A matrix text of up to 3 x 3, most of whose lines are valid.  The header
+    may be malformed or of width zero, the row count off by one or two, and a
+    row short, long or holding a bad token.  Now and then there is no line to
+    read.  Comments and blank lines fall anywhere, and each line ends in any
+    line break, the last in none at times."""
+    m, n = rng.below(4), rng.below(4)
+    header = f"matrix {m} {n}"
+    if rng.below(12) == 0:
+        header = ["matrix 2", "mat 2 2", "matrix -1 2", "matrix a 2", "matrix 2 2 2"][rng.below(5)]
+    lines = [header]
+    rows = max(m + [0, 0, 0, 0, -1, 1, 2][rng.below(7)], 0) if n > 0 else [0, 0, 0, 1][rng.below(4)]
+    for _ in range(rows):
+        width = n + ([0] * 10 + [-1, 1])[rng.below(12)] if n > 0 else 1 + rng.below(2)
+        row = [str(rng.below(21) - 10) for _ in range(width)]
+        if row and rng.below(10) == 0:
+            row[rng.below(len(row))] = BAD_TOKENS[rng.below(len(BAD_TOKENS))]
+        lines.append(" " + "  ".join(row) + " " if rng.below(4) == 0 else " ".join(row))
+    if rng.below(40) == 0:
+        lines = []
+    for _ in range(rng.below(3)):
+        lines.insert(rng.below(len(lines) + 1), SKIPPED[rng.below(len(SKIPPED))])
+    breaks = [MATRIX_BREAKS[rng.below(len(MATRIX_BREAKS))] for _ in lines]
+    if lines and rng.below(5) == 0:
+        breaks[-1] = ""
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
 class TestMatrixFormat:
     def test_parse_basic(self):
         m = parse_matrix("matrix 2 3\n1 -2 3\n0 5 -6\n")
@@ -1454,22 +1537,63 @@ class TestMatrixFormat:
         )
 
     def test_parse_errors(self):
+        empty = "empty input, expected a 'matrix <m> <n>' header"
+        signed = "entries must be signed decimal integers"
         cases = [
-            ("", None),
-            ("# only a comment\n", None),
-            ("mat 2 2\n1 2\n3 4\n", 1),
-            ("matrix 2\n", 1),
-            ("matrix a b\n", 1),
-            ("matrix -1 2\n", 1),
-            ("matrix 2 2\n1 2\n", 1),
-            ("matrix 1 2\n1 2\n3 4\n", 3),
-            ("matrix 1 3\n1 2\n", 2),
-            ("matrix 1 2\n1 x\n", 2),
+            ("", None, empty),
+            ("# only a comment\n", None, empty),
+            ("mat 2 2\n1 2\n3 4\n", 1, "expected header 'matrix <m> <n>'"),
+            ("matrix 2\n", 1, "expected header 'matrix <m> <n>'"),
+            ("matrix a b\n", 1, "matrix dimensions must be signed decimal integers"),
+            ("matrix -1 2\n", 1, "matrix dimensions must be non-negative"),
+            ("matrix 2 2\n1 2\n", 1, "expected 2 rows, found 1"),
+            ("matrix 1 2\n1 2\n3 4\n", 3, "expected 1 rows, found 2"),
+            ("matrix 1 2\n1 2\n3 4\n\n5 6\n", 3, "expected 1 rows, found 3"),
+            ("matrix 0 2\n1 2\n", 2, "expected 0 rows, found 1"),
+            ("matrix 2 0\n\n1\n", 3, "expected 0 rows, found 1"),
+            ("matrix 1 3\n1 2\n", 2, "expected 3 entries, found 2"),
+            ("matrix 1 2\n1 x\n", 2, signed),
+            # A row-count error and a bad row: the line read first is named.
+            ("matrix 2 2\n1 x\n", 2, signed),
+            ("matrix 2 2\n1 2 3\n", 2, "expected 2 entries, found 3"),
+            ("matrix 1 2\n1 x\n3 4\n", 2, signed),
+            ("matrix 2 2\n1 2\n3 x\n5 6\n", 3, signed),
         ]
-        for text, line in cases:
+        for text, line, message in cases:
             with pytest.raises(MatrixParseError) as info:
                 parse_matrix(text)
             assert info.value.line == line, text
+            assert str(info.value) == (message if line is None else f"line {line}: {message}"), text
+
+    @pytest.mark.parametrize("slice_chars", [exactla._SLICE, 1, 7])
+    def test_matches_the_line_by_line_reader(self, monkeypatch, slice_chars):
+        # Slices of 1 and 7 characters put line breaks of every kind, CR LF
+        # included, on slice edges.
+        monkeypatch.setattr(exactla, "_SLICE", slice_chars)
+        kinds = collections.Counter()
+        for seed in range(2_000):
+            text = malformed_matrix_text(SplitMix64(seed))
+            expected = matrix_outcome(sequential_parse_matrix, text)
+            assert matrix_outcome(parse_matrix, text) == expected, (seed, text)
+            kinds[expected[0] if expected[0] == "matrix" else re.sub(r"\d+", "N", expected[1])] += 1
+        assert 400 < kinds["matrix"] < 1_600
+        assert kinds["line N: expected N rows, found N"] > 100
+        assert kinds["line N: expected N entries, found N"] > 100
+        assert kinds["line N: entries must be signed decimal integers"] > 50
+        assert kinds["empty input, expected a 'matrix <m> <n>' header"] > 10
+
+    def test_memory_is_bounded_by_the_matrix(self):
+        # 400x400, entries in [-100, 100], 0.55 MB.  Converting each row as it
+        # is read takes 8.6 times the text's length; listing every row's tokens
+        # before converting any would take 25.7.
+        text = format_matrix(splitmix_matrix(1301, 400, 400, 100))
+        tracemalloc.start()
+        try:
+            parse_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * len(text)
 
     def test_only_ascii_integer_tokens(self):
         cases = [
