@@ -626,8 +626,8 @@ def _integers(tokens: list[str], lineno: int | None, what: str) -> list[int]:
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    """Parse the textual matrix format in one pass.  A MatrixParseError names the first bad
-    line of a line-by-line reading: a missing row at the header, an extra one at its own line."""
+    """Parse the textual matrix format in one pass, each row joining the entries as it is read.  A
+    MatrixParseError names the first bad line: a missing row at the header, an extra one at its own."""
     lines = _significant_lines(text)
     header_line, header = next(lines, (None, None))
     if header is None:
@@ -640,17 +640,20 @@ def parse_matrix(text: str) -> IntMatrix:
 
     # A width-zero matrix has no printable rows, so none are expected.
     expected = m if n > 0 else 0
-    entries = []
-    for lineno, tokens in islice(lines, expected):
-        if len(tokens) != n:
-            raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
-        entries += _integers(tokens, lineno, "entries")
+
+    def rows() -> Iterator[list[int]]:
+        for lineno, tokens in islice(lines, expected):
+            if len(tokens) != n:
+                raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", line=lineno)
+            yield _integers(tokens, lineno, "entries")
+
+    entries = tuple(chain.from_iterable(rows()))
     if len(entries) < m * n:
         raise MatrixParseError(f"expected {expected} rows, found {len(entries) // n}", line=header_line)
     if extra := next(lines, None):
         found = expected + 1 + sum(1 for _ in lines)
         raise MatrixParseError(f"expected {expected} rows, found {found}", line=extra[0])
-    return IntMatrix(m, n, tuple(entries))
+    return IntMatrix(m, n, entries)
 
 
 def format_matrix(m: IntMatrix) -> str:

@@ -1584,16 +1584,20 @@ class TestMatrixFormat:
 
     def test_memory_is_bounded_by_the_matrix(self):
         # 400x400, entries in [-100, 100], 0.55 MB.  Converting each row as it
-        # is read takes 8.6 times the text's length; listing every row's tokens
-        # before converting any would take 25.7.
+        # is read takes 6.7 times the text's length; listing every row's tokens
+        # before converting any would take 25.7.  The peak is the matrix that
+        # is returned plus about one row (1.08 times what the result holds);
+        # an entry list held beside the tuple copied from it would take 1.39.
         text = format_matrix(splitmix_matrix(1301, 400, 400, 100))
         tracemalloc.start()
         try:
-            parse_matrix(text)
-            peak = tracemalloc.get_traced_memory()[1]
+            result = parse_matrix(text)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert result.rows == result.cols == 400
         assert peak < 12 * len(text)
+        assert peak < 1.25 * held
 
     def test_only_ascii_integer_tokens(self):
         cases = [
